@@ -3,7 +3,8 @@
 //   A2 TileDB tile extents (tile-local kernels vs bookkeeping)
 //   A3 stream window slide (trigger amortization vs alert granularity)
 //   A4 relational join strategy (hash equi-join vs nested loop)
-//   A5 CAST parallelism (serial vs chunked-parallel binary wire format)
+// (A5, chunked-parallel CAST, is no longer reproduced: its binary codec
+// was removed.)
 
 #include <cstdio>
 
@@ -13,8 +14,6 @@
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
-#include "core/cast.h"
 #include "relational/database.h"
 #include "stream/stream_engine.h"
 #include "tiledb/tiledb.h"
@@ -137,42 +136,14 @@ void JoinStrategy() {
               loop_ms / hash_ms);
 }
 
-void ParallelCast() {
-  std::printf("\n-- A5: binary CAST serial vs chunked-parallel (2 cores) --\n");
-  Rng rng(9);
-  relational::Table t{Schema({Field("id", DataType::kInt64),
-                              Field("v", DataType::kDouble),
-                              Field("s", DataType::kString)})};
-  for (int64_t i = 0; i < 200000; ++i) {
-    t.AppendUnchecked({Value(i), Value(rng.NextGaussian()),
-                       Value("tag" + std::to_string(i % 17))});
-  }
-  ThreadPool pool(2);
-  double serial_ms = MedianMs(3, [&t] {
-    std::string wire = core::TableToBinary(t);
-    auto back = core::TableFromBinary(wire);
-    BIGDAWG_CHECK(back.ok());
-  });
-  double parallel_ms = MedianMs(3, [&t, &pool] {
-    std::string wire = core::TableToBinaryParallel(t, &pool);
-    auto back = core::TableFromBinaryParallel(wire, &pool);
-    BIGDAWG_CHECK(back.ok());
-  });
-  std::printf("serial:   %10.2f ms\n", serial_ms);
-  std::printf("parallel: %10.2f ms  (%.1fx)\n", parallel_ms,
-              serial_ms / parallel_ms);
-}
-
 }  // namespace
 
 int main() {
   bench::PrintHeader("Ablations over DESIGN.md's design choices",
-                     "chunking, tiling, window slide, join strategy, "
-                     "parallel CAST");
+                     "chunking, tiling, window slide, join strategy");
   ArrayChunkLength();
   TileExtents();
   WindowSlide();
   JoinStrategy();
-  ParallelCast();
   return 0;
 }

@@ -5,7 +5,7 @@
 //
 // Compares three relation-transfer paths at several sizes:
 //   direct   — in-memory handoff (Table copy into the target engine),
-//   binary   — the compact binary wire format (serialize + parse),
+//   wire     — the canonical binary wire format (encode + decode),
 //   csv-file — export to a CSV file on disk and re-import (the baseline).
 //
 // A second section measures the versioned cast-result cache: the same
@@ -13,7 +13,10 @@
 // before every trial, full conversion) vs warm (repeated fetch served
 // from the cache). Machine-readable results land in BENCH_cast.json.
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -58,7 +61,6 @@ struct TransferRow {
   int64_t rows;
   int64_t bytes;
   double direct_ns;
-  double binary_ns;
   double wire_ns;
   double csv_ns;
 };
@@ -95,10 +97,10 @@ void WriteJson(const std::string& path,
     const TransferRow& r = transfer[i];
     std::fprintf(f,
                  "    {\"rows\": %lld, \"bytes\": %lld, \"direct_ns\": %.0f, "
-                 "\"binary_ns\": %.0f, \"wire_ns\": %.0f, \"csv_ns\": %.0f}%s\n",
+                 "\"wire_ns\": %.0f, \"csv_ns\": %.0f}%s\n",
                  static_cast<long long>(r.rows),
-                 static_cast<long long>(r.bytes), r.direct_ns, r.binary_ns,
-                 r.wire_ns, r.csv_ns, i + 1 < transfer.size() ? "," : "");
+                 static_cast<long long>(r.bytes), r.direct_ns, r.wire_ns,
+                 r.csv_ns, i + 1 < transfer.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"cache\": [\n");
   for (size_t i = 0; i < cache.size(); ++i) {
@@ -133,9 +135,14 @@ int main() {
   bench::PrintHeader(
       "C4 -- CAST transfer paths: direct binary vs file-based import/export",
       "direct binary casts should beat file-based import/export");
-  std::printf("%10s %12s %12s %12s %12s %18s\n", "rows", "direct/ms",
-              "binary/ms", "wire/ms", "csv-file/ms", "csv-vs-wire");
+  std::printf("%10s %12s %12s %12s %18s\n", "rows", "direct/ms", "wire/ms",
+              "csv-file/ms", "csv-vs-wire");
 
+  // One scratch file per run, so concurrent runs never share it.
+  const std::string csv_path =
+      (std::filesystem::temp_directory_path() /
+       ("bigdawg_cast_bench." + std::to_string(getpid()) + ".csv"))
+          .string();
   std::vector<TransferRow> transfer;
   for (int64_t rows : {1000, 10000, 100000}) {
     relational::Table table = MakeTable(rows, 42);
@@ -145,13 +152,6 @@ int main() {
       BIGDAWG_CHECK(copy.num_rows() == table.num_rows());
     });
 
-    double binary = MedianMs(5, [&table] {
-      std::string wire = core::TableToBinary(table);
-      auto back = core::TableFromBinary(wire);
-      BIGDAWG_CHECK(back.ok());
-      BIGDAWG_CHECK(back->num_rows() == table.num_rows());
-    });
-
     double wire_ms = MedianMs(5, [&table] {
       std::string wire = core::EncodeTable(table);
       auto back = core::DecodeTable(wire);
@@ -159,18 +159,19 @@ int main() {
       BIGDAWG_CHECK(back->num_rows() == table.num_rows());
     });
 
-    double csv = MedianMs(3, [&table] {
-      auto back = core::TableViaCsvFile(table, "/tmp/bigdawg_cast_bench.csv");
+    double csv = MedianMs(3, [&table, &csv_path] {
+      auto back = core::TableViaCsvFile(table, csv_path);
       BIGDAWG_CHECK(back.ok());
       BIGDAWG_CHECK(back->num_rows() == table.num_rows());
     });
 
-    std::printf("%10lld %12.2f %12.2f %12.2f %12.2f %17.1fx\n",
-                static_cast<long long>(rows), direct, binary, wire_ms, csv,
+    std::printf("%10lld %12.2f %12.2f %12.2f %17.1fx\n",
+                static_cast<long long>(rows), direct, wire_ms, csv,
                 csv / wire_ms);
-    transfer.push_back({rows, core::EstimateTableBytes(table), direct * 1e6,
-                        binary * 1e6, wire_ms * 1e6, csv * 1e6});
+    transfer.push_back(
+        {rows, table.ByteSize(), direct * 1e6, wire_ms * 1e6, csv * 1e6});
   }
+  std::filesystem::remove(csv_path);
 
   std::printf(
       "\nShape check: the binary wire format beats the CSV file path by a\n"

@@ -9,7 +9,7 @@
 #include "array/array.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "core/cast.h"
+#include "core/wire_format.h"
 #include "kvstore/kvstore.h"
 #include "relational/database.h"
 #include "relational/sql_parser.h"
@@ -110,17 +110,17 @@ void BM_KvRangeScan(benchmark::State& state) {
 }
 BENCHMARK(BM_KvRangeScan)->Arg(10000)->Arg(100000);
 
-void BM_BinaryCastRoundTrip(benchmark::State& state) {
+void BM_WireCastRoundTrip(benchmark::State& state) {
   relational::Table t = MakeTable(state.range(0));
   for (auto _ : state) {
-    std::string wire = core::TableToBinary(t);
-    auto back = core::TableFromBinary(wire);
+    std::string wire = core::EncodeTable(t);
+    auto back = core::DecodeTable(wire);
     BIGDAWG_CHECK(back.ok());
     benchmark::DoNotOptimize(back);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_BinaryCastRoundTrip)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_WireCastRoundTrip)->Arg(1000)->Arg(10000);
 
 void BM_Fft(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -1,8 +1,10 @@
 #include "core/bigdawg.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
 
 #include "common/lexer.h"
 #include "common/logging.h"
@@ -26,6 +28,25 @@ double ShardHedgeMs() {
     return 50.0;
   }();
   return ms;
+}
+
+/// CAST temporaries are written, read once, and dropped by the same
+/// execution; caching them would only churn the LRU.
+bool IsCastTemp(const std::string& object) {
+  return object.rfind("__cast_", 0) == 0;
+}
+
+/// Runs `fn(std::type_identity<T>{})` with T the model `engine` stores
+/// natively — the model its sharded objects are partitioned, gathered and
+/// merged in — or returns `otherwise` for an engine that stores none of
+/// the three.
+template <typename Fn>
+auto WithHomeModel(const std::string& engine, Fn&& fn, Status otherwise)
+    -> decltype(fn(std::type_identity<relational::Table>{})) {
+  if (engine == kEnginePostgres) return fn(std::type_identity<relational::Table>{});
+  if (engine == kEngineSciDb) return fn(std::type_identity<array::Array>{});
+  if (engine == kEngineD4m) return fn(std::type_identity<d4m::AssocArray>{});
+  return otherwise;
 }
 
 }  // namespace
@@ -162,21 +183,228 @@ bool BigDawg::EngineConsideredDown(const std::string& engine) const {
 }
 
 // ---------------------------------------------------------------------------
+// Per-model hooks: the one place the three data models differ
+// ---------------------------------------------------------------------------
+
+template <>
+struct BigDawg::Model<relational::Table> {
+  static constexpr const char* kHome = kEnginePostgres;
+  static constexpr CastTarget kTarget = CastTarget::kTable;
+  static constexpr const char* kShimSpan = "shim:table";
+  static constexpr const char* kScatterSpan = "scatter:table";
+
+  static Result<relational::Table> Get(BigDawg& d, const std::string& native) {
+    return d.relational_.GetTable(native);
+  }
+  static Status Put(BigDawg& d, const std::string& native,
+                    relational::Table table) {
+    return d.relational_.PutTable(native, std::move(table));
+  }
+  static Result<relational::Table> GetShard(ShardRuntime& s, int shard,
+                                            const std::string& frag) {
+    return s.Relational(shard)->GetTable(frag);
+  }
+  static Status PutShard(ShardRuntime& s, int shard, const std::string& frag,
+                         const relational::Table& table) {
+    return s.Relational(shard)->PutTable(frag, table);
+  }
+  static void DropShard(ShardRuntime& s, int shard, const std::string& frag) {
+    (void)s.Relational(shard)->DropTable(frag);
+  }
+  static Result<relational::Table> Merge(std::vector<relational::Table> frags) {
+    return MergeTableFragments(std::move(frags));
+  }
+  /// Hash partition on `key` (default: the first column).
+  static Result<std::vector<relational::Table>> Partition(
+      const relational::Table& whole, const std::string& key,
+      ShardPlacement* placement) {
+    if (whole.schema().num_fields() == 0) {
+      return Status::InvalidArgument("table has no columns to shard on");
+    }
+    placement->kind = PartitionKind::kHash;
+    placement->key = key.empty() ? whole.schema().field(0).name : key;
+    return PartitionTable(whole, *placement);
+  }
+
+  static Result<relational::Table> From(const relational::Table& t) { return t; }
+  static Result<relational::Table> From(const array::Array& a) {
+    return ArrayToTable(a);
+  }
+  static Result<relational::Table> From(const d4m::AssocArray& a) {
+    return AssocToTable(a);
+  }
+  /// Every engine surfaces its objects as relations.
+  static Result<relational::Table> Shim(BigDawg& d, const std::string& /*object*/,
+                                        const ObjectLocation& loc) {
+    return d.FetchTableFrom(loc.engine, loc.native_name);
+  }
+};
+
+template <>
+struct BigDawg::Model<d4m::AssocArray> {
+  static constexpr const char* kHome = kEngineD4m;
+  static constexpr CastTarget kTarget = CastTarget::kAssoc;
+  static constexpr const char* kShimSpan = "shim:assoc";
+  static constexpr const char* kScatterSpan = "scatter:assoc";
+
+  static Result<d4m::AssocArray> Get(BigDawg& d, const std::string& native) {
+    std::shared_lock lock(d.assoc_mu_);
+    auto it = d.assoc_store_.find(native);
+    if (it == d.assoc_store_.end()) {
+      return Status::Internal("catalog points at missing assoc object: " + native);
+    }
+    return it->second;
+  }
+  static Status Put(BigDawg& d, const std::string& native,
+                    d4m::AssocArray assoc) {
+    std::unique_lock lock(d.assoc_mu_);
+    d.assoc_store_[native] = std::move(assoc);
+    return Status::OK();
+  }
+  static Result<d4m::AssocArray> GetShard(ShardRuntime& s, int shard,
+                                          const std::string& frag) {
+    return s.AssocAt(shard)->Get(frag);
+  }
+  static Status PutShard(ShardRuntime& s, int shard, const std::string& frag,
+                         const d4m::AssocArray& assoc) {
+    s.AssocAt(shard)->Put(frag, assoc);
+    return Status::OK();
+  }
+  static void DropShard(ShardRuntime& s, int shard, const std::string& frag) {
+    s.AssocAt(shard)->Erase(frag);
+  }
+  static Result<d4m::AssocArray> Merge(std::vector<d4m::AssocArray> frags) {
+    return MergeAssocFragments(std::move(frags));
+  }
+  /// Hash partition on the row key, so rows are never split.
+  static Result<std::vector<d4m::AssocArray>> Partition(
+      const d4m::AssocArray& whole, const std::string& key,
+      ShardPlacement* placement) {
+    placement->kind = PartitionKind::kHash;
+    placement->key = key.empty() ? "row" : key;
+    return PartitionAssoc(whole, *placement);
+  }
+
+  static Result<d4m::AssocArray> From(const relational::Table& t) {
+    return TableToAssoc(t);
+  }
+  static Result<d4m::AssocArray> From(const array::Array& a) {
+    BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, ArrayToTable(a));
+    return TableToAssoc(t);
+  }
+  static Result<d4m::AssocArray> From(const d4m::AssocArray& a) { return a; }
+  /// The D4M view of a text corpus is its term x document incidence (row
+  /// = term, col = doc id, value = tf); other engines' relations are cast.
+  static Result<d4m::AssocArray> Shim(BigDawg& d, const std::string& object,
+                                      const ObjectLocation& loc) {
+    if (loc.engine == kEngineAccumulo) {
+      BIGDAWG_RETURN_NOT_OK(d.CheckEngine(kEngineAccumulo));
+      d4m::AssocArray out;
+      kvstore::ScanOptions options;
+      options.family = "idx";
+      d.text_.backing_store().ApplyToRange(options, [&out](const kvstore::Cell& cell) {
+        // Rows are "term:<t>".
+        std::string term = cell.key.row.substr(5);
+        out.Set(term, cell.key.qualifier,
+                Value(std::strtod(cell.value.c_str(), nullptr)));
+        return true;
+      });
+      return out;
+    }
+    BIGDAWG_ASSIGN_OR_RETURN(relational::Table t,
+                             d.Fetch<relational::Table>(object));
+    return TableToAssoc(t);
+  }
+};
+
+template <>
+struct BigDawg::Model<array::Array> {
+  static constexpr const char* kHome = kEngineSciDb;
+  static constexpr CastTarget kTarget = CastTarget::kArray;
+  static constexpr const char* kShimSpan = "shim:array";
+  static constexpr const char* kScatterSpan = "scatter:array";
+
+  static Result<array::Array> Get(BigDawg& d, const std::string& native) {
+    return d.array_.GetArray(native);
+  }
+  static Status Put(BigDawg& d, const std::string& native, array::Array a) {
+    return d.array_.PutArray(native, std::move(a));
+  }
+  static Result<array::Array> GetShard(ShardRuntime& s, int shard,
+                                       const std::string& frag) {
+    return s.ArrayAt(shard)->GetArray(frag);
+  }
+  static Status PutShard(ShardRuntime& s, int shard, const std::string& frag,
+                         const array::Array& a) {
+    return s.ArrayAt(shard)->PutArray(frag, a);
+  }
+  static void DropShard(ShardRuntime& s, int shard, const std::string& frag) {
+    (void)s.ArrayAt(shard)->RemoveArray(frag);
+  }
+  static Result<array::Array> Merge(std::vector<array::Array> frags) {
+    return MergeArrayFragments(std::move(frags));
+  }
+  /// Range partition on dimension `key` (default: the first), split into
+  /// equal spans of its extent.
+  static Result<std::vector<array::Array>> Partition(
+      const array::Array& whole, const std::string& key,
+      ShardPlacement* placement) {
+    if (whole.num_dims() == 0) {
+      return Status::InvalidArgument("array has no dimensions to shard on");
+    }
+    placement->kind = PartitionKind::kRange;
+    placement->key = key.empty() ? whole.dims()[0].name : key;
+    auto dim = std::find_if(
+        whole.dims().begin(), whole.dims().end(),
+        [&](const array::Dimension& d) { return d.name == placement->key; });
+    if (dim == whole.dims().end()) {
+      return Status::InvalidArgument("no dimension named " + placement->key);
+    }
+    for (int j = 0; j < placement->shard_count - 1; ++j) {
+      placement->range_splits.push_back(
+          dim->start + (dim->length * (j + 1)) / placement->shard_count);
+    }
+    return PartitionArray(whole, *placement);
+  }
+
+  static Result<array::Array> From(const relational::Table& t) {
+    return TableToArray(t);
+  }
+  static Result<array::Array> From(const array::Array& a) { return a; }
+  static Result<array::Array> From(const d4m::AssocArray& a) {
+    return AssocToArray(a);
+  }
+  /// TileDB matrices and assoc arrays convert directly; other engines'
+  /// relations are cast.
+  static Result<array::Array> Shim(BigDawg& d, const std::string& object,
+                                   const ObjectLocation& loc) {
+    if (loc.engine == kEngineTileDb) {
+      BIGDAWG_RETURN_NOT_OK(d.CheckEngine(kEngineTileDb));
+      BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m,
+                               d.tiledb_.GetArray(loc.native_name));
+      return TileMatrixToArray(m);
+    }
+    if (loc.engine == kEngineD4m) {
+      BIGDAWG_RETURN_NOT_OK(d.CheckEngine(kEngineD4m));
+      BIGDAWG_ASSIGN_OR_RETURN(
+          d4m::AssocArray a,
+          BigDawg::Model<d4m::AssocArray>::Get(d, loc.native_name));
+      return AssocToArray(a);
+    }
+    BIGDAWG_ASSIGN_OR_RETURN(relational::Table t,
+                             d.Fetch<relational::Table>(object));
+    return TableToArray(t);
+  }
+};
+
+// ---------------------------------------------------------------------------
 // Cross-model fetch (shims)
 // ---------------------------------------------------------------------------
 
 Result<relational::Table> BigDawg::FetchTableFrom(const std::string& engine,
                                                   const std::string& native) {
   BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-  ObjectLocation loc{"", engine, native};
-  if (loc.engine == kEnginePostgres) {
-    return relational_.GetTable(loc.native_name);
-  }
-  if (loc.engine == kEngineSciDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array a, array_.GetArray(loc.native_name));
-    return ArrayToTable(a);
-  }
-  if (loc.engine == kEngineAccumulo) {
+  if (engine == kEngineAccumulo) {
     // The text corpus as a (doc_id, owner, text) relation.
     relational::Table out{Schema({Field("doc_id", DataType::kString),
                                   Field("owner", DataType::kString),
@@ -189,26 +417,24 @@ Result<relational::Table> BigDawg::FetchTableFrom(const std::string& engine,
     }
     return out;
   }
-  if (loc.engine == kEngineSStore) {
-    BIGDAWG_ASSIGN_OR_RETURN(Schema schema, stream_.StreamSchema(loc.native_name));
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                             stream_.StreamContents(loc.native_name));
+  if (engine == kEngineSStore) {
+    BIGDAWG_ASSIGN_OR_RETURN(Schema schema, stream_.StreamSchema(native));
+    BIGDAWG_ASSIGN_OR_RETURN(std::vector<Row> rows, stream_.StreamContents(native));
     return relational::Table(std::move(schema), std::move(rows));
   }
-  if (loc.engine == kEngineTileDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, tiledb_.GetArray(loc.native_name));
+  if (engine == kEngineTileDb) {
+    BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, tiledb_.GetArray(native));
     BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TileMatrixToArray(m));
     return ArrayToTable(a);
   }
-  if (loc.engine == kEngineD4m) {
-    std::shared_lock lock(assoc_mu_);
-    auto it = assoc_store_.find(loc.native_name);
-    if (it == assoc_store_.end()) {
-      return Status::Internal("catalog points at missing assoc object: " + native);
-    }
-    return AssocToTable(it->second);
-  }
-  return Status::Internal("catalog entry has unknown engine: " + loc.engine);
+  return WithHomeModel(
+      engine,
+      [&](auto home) -> Result<relational::Table> {
+        using H = typename decltype(home)::type;
+        BIGDAWG_ASSIGN_OR_RETURN(H value, Model<H>::Get(*this, native));
+        return Model<relational::Table>::From(value);
+      },
+      Status::Internal("catalog entry has unknown engine: " + engine));
 }
 
 Result<relational::Table> BigDawg::FailoverFetch(const std::string& object,
@@ -241,52 +467,26 @@ Result<relational::Table> BigDawg::FailoverFetch(const std::string& object,
                              " is down and no fresh replica can serve " + object);
 }
 
-namespace {
-
-/// CAST temporaries are written, read once, and dropped by the same
-/// execution; caching them would only churn the LRU.
-bool IsCastTemp(const std::string& object) {
-  return object.rfind("__cast_", 0) == 0;
-}
-
-}  // namespace
-
-void BigDawg::StampCacheOutcome(CastCacheOutcome outcome, int64_t bytes,
-                                bool ok, obs::SpanGuard* shim_span,
-                                obs::Trace* trace) {
-  if (ActiveCtx() != nullptr) {
-    ActiveCtx()->cast_cache_outcome = CastCacheOutcomeName(outcome);
-    ActiveCtx()->cast_cache_bytes = ok ? bytes : -1;
-  }
-  if (trace != nullptr) shim_span->Tag("cache", CastCacheOutcomeName(outcome));
-}
-
-Result<relational::Table> BigDawg::FetchTableRouted(const std::string& object,
-                                                    const ObjectLocation& loc,
-                                                    obs::SpanGuard* shim_span,
-                                                    obs::Trace* trace) {
-  if (EngineConsideredDown(loc.engine)) return FailoverFetch(object, loc);
-  // Prefer a fresh relational replica: it serves the relation directly,
-  // skipping the cross-model shim.
-  if (loc.engine != kEnginePostgres &&
-      catalog_.ReplicaIsFresh(object, kEnginePostgres) &&
-      !EngineConsideredDown(kEnginePostgres)) {
-    BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
-                             catalog_.ReplicaOn(object, kEnginePostgres));
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEnginePostgres));
-    if (trace != nullptr) shim_span->Tag("replica", kEnginePostgres);
-    return relational_.GetTable(replica.native_name);
-  }
-  return FetchTableFrom(loc.engine, loc.native_name);
-}
-
 Result<relational::Table> BigDawg::FetchAsTable(const std::string& object) {
+  return Fetch<relational::Table>(object);
+}
+
+Result<array::Array> BigDawg::FetchAsArray(const std::string& object) {
+  return Fetch<array::Array>(object);
+}
+
+Result<d4m::AssocArray> BigDawg::FetchAsAssoc(const std::string& object) {
+  return Fetch<d4m::AssocArray>(object);
+}
+
+template <typename T>
+Result<T> BigDawg::Fetch(const std::string& object) {
   // A repartition can retire the physical names between a snapshot and
   // the reads under it; a NotFound with a moved placement epoch means
   // exactly that race, and a fresh attempt sees the new layout.
   Result<ObjectSnapshot> before = catalog_.Snapshot(object);
   for (int attempt = 0;; ++attempt) {
-    Result<relational::Table> r = FetchAsTableOnce(object);
+    Result<T> r = FetchOnce<T>(object);
     if (r.ok() || r.status().code() != StatusCode::kNotFound ||
         attempt >= 4) {
       return r;
@@ -300,289 +500,84 @@ Result<relational::Table> BigDawg::FetchAsTable(const std::string& object) {
   }
 }
 
-Result<relational::Table> BigDawg::FetchAsTableOnce(const std::string& object) {
+template <typename T>
+Result<T> BigDawg::FetchOnce(const std::string& object) {
   obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard shim_span(trace, "shim:table");
+  obs::SpanGuard shim_span(trace, Model<T>::kShimSpan);
   if (trace != nullptr) shim_span.Tag("object", object);
   BIGDAWG_ASSIGN_OR_RETURN(ObjectSnapshot snap, catalog_.Snapshot(object));
   const ObjectLocation& loc = snap.location;
   if (trace != nullptr) shim_span.Tag("engine", loc.engine);
   if (snap.placement.sharded()) {
     if (trace != nullptr) shim_span.Tag("sharded", "true");
-    if (loc.engine == kEnginePostgres) {
-      return GatherShardedTable(object, snap);
-    }
-    if (loc.engine == kEngineSciDb) {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, GatherShardedArray(object, snap));
-      return ArrayToTable(a);
-    }
-    if (loc.engine == kEngineD4m) {
-      BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                               GatherShardedAssoc(object, snap));
-      return AssocToTable(a);
-    }
-    return Status::Internal("sharded object on unshardable engine: " +
-                            loc.engine);
+    // Gather in the home model, then convert — the same conversion the
+    // unsharded shim applies.
+    return WithHomeModel(
+        loc.engine,
+        [&](auto home) -> Result<T> {
+          using H = typename decltype(home)::type;
+          BIGDAWG_ASSIGN_OR_RETURN(H whole, Gather<H>(object, snap));
+          return Model<T>::From(whole);
+        },
+        Status::Internal("sharded object on unshardable engine: " + loc.engine));
   }
-  // A postgres-homed relation is a native read, not a cast: there is no
+  // A read in the engine's own model is not a cast: there is no
   // conversion to save, so the cache never interposes on it.
-  if (!cast_cache_.enabled() || loc.engine == kEnginePostgres ||
+  if (!cast_cache_.enabled() || loc.engine == Model<T>::kHome ||
       IsCastTemp(object)) {
-    return FetchTableRouted(object, loc, &shim_span, trace);
+    return Route<T>(object, loc, &shim_span, trace);
   }
-  CastCacheKey key{object, snap.instance_id, snap.version, CastTarget::kTable,
-                   ""};
+  CastCacheKey key{object, snap.instance_id, snap.version, Model<T>::kTarget, ""};
   CastCacheOutcome outcome = CastCacheOutcome::kMiss;
   int64_t bytes = 0;
-  Result<std::shared_ptr<const relational::Table>> cached =
-      cast_cache_.GetOrCompute<relational::Table>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const relational::Table>,
-                              int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(
-                relational::Table t,
-                FetchTableRouted(object, loc, &shim_span, trace));
-            const int64_t size = t.ByteSize();
-            return std::make_pair(
-                std::make_shared<const relational::Table>(std::move(t)), size);
-          },
-          [&]() { return catalog_.SnapshotIsCurrent(object, snap); },
-          ActiveCtx(), &outcome, &bytes);
-  StampCacheOutcome(outcome, bytes, cached.ok(), &shim_span, trace);
-  if (!cached.ok()) return cached.status();
-  return **cached;
+  Result<T> cached = cast_cache_.GetOrCompute<T>(
+      key, [&] { return Route<T>(object, loc, &shim_span, trace); },
+      [&] { return catalog_.SnapshotIsCurrent(object, snap); }, ActiveCtx(),
+      &outcome, &bytes);
+  if (ActiveCtx() != nullptr) {
+    ActiveCtx()->cast_cache_outcome = CastCacheOutcomeName(outcome);
+    ActiveCtx()->cast_cache_bytes = cached.ok() ? bytes : -1;
+  }
+  if (trace != nullptr) shim_span.Tag("cache", CastCacheOutcomeName(outcome));
+  return cached;
 }
 
-Result<array::Array> BigDawg::FetchArrayRouted(const std::string& object,
-                                               const ObjectLocation& loc,
-                                               obs::SpanGuard* shim_span,
-                                               obs::Trace* trace) {
-  if (EngineConsideredDown(loc.engine)) {
-    // Model-matched failover first: a fresh scidb replica serves the
-    // array natively; otherwise any fresh replica serves via the shim.
-    if (loc.engine != kEngineSciDb &&
-        catalog_.ReplicaIsFresh(object, kEngineSciDb) &&
-        !EngineConsideredDown(kEngineSciDb)) {
-      BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
-                               catalog_.ReplicaOn(object, kEngineSciDb));
-      obs::SpanGuard failover_span(trace, "failover");
-      if (trace != nullptr) {
-        failover_span.Tag("from", loc.engine);
-        failover_span.Tag("to", kEngineSciDb);
-      }
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
+template <typename T>
+Result<T> BigDawg::Route(const std::string& object, const ObjectLocation& loc,
+                         obs::SpanGuard* shim_span, obs::Trace* trace) {
+  using M = Model<T>;
+  const bool down = EngineConsideredDown(loc.engine);
+  // A fresh replica on the model's home engine serves the model natively:
+  // it is the failover target of choice when the primary is down, and it
+  // beats shimming the primary when it is up.
+  if (loc.engine != M::kHome && catalog_.ReplicaIsFresh(object, M::kHome) &&
+      !EngineConsideredDown(M::kHome)) {
+    BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
+                             catalog_.ReplicaOn(object, M::kHome));
+    obs::SpanGuard failover_span(down ? trace : nullptr, "failover");
+    if (down && trace != nullptr) {
+      failover_span.Tag("from", loc.engine);
+      failover_span.Tag("to", M::kHome);
+    }
+    BIGDAWG_RETURN_NOT_OK(CheckEngine(M::kHome));
+    if (down) {
       monitor_.RecordFailover(loc.engine);
       if (ActiveCtx() != nullptr) ++ActiveCtx()->failovers;
-      return array_.GetArray(replica.native_name);
+    } else if (trace != nullptr) {
+      shim_span->Tag("replica", M::kHome);
     }
+    return M::Get(*this, replica.native_name);
+  }
+  // Otherwise any fresh replica serves its relation view through the shim.
+  if (down) {
     BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FailoverFetch(object, loc));
-    return TableToArray(t);
+    return M::From(t);
   }
-  if (loc.engine == kEngineSciDb) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-    return array_.GetArray(loc.native_name);
+  if (loc.engine == M::kHome) {
+    BIGDAWG_RETURN_NOT_OK(CheckEngine(loc.engine));
+    return M::Get(*this, loc.native_name);
   }
-  // Prefer a fresh array replica over shimming the primary.
-  if (catalog_.ReplicaIsFresh(object, kEngineSciDb) &&
-      !EngineConsideredDown(kEngineSciDb)) {
-    BIGDAWG_ASSIGN_OR_RETURN(ReplicaLocation replica,
-                             catalog_.ReplicaOn(object, kEngineSciDb));
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-    if (trace != nullptr) shim_span->Tag("replica", kEngineSciDb);
-    return array_.GetArray(replica.native_name);
-  }
-  if (loc.engine == kEngineTileDb) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineTileDb));
-    BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, tiledb_.GetArray(loc.native_name));
-    return TileMatrixToArray(m);
-  }
-  if (loc.engine == kEngineD4m) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineD4m));
-    std::shared_lock lock(assoc_mu_);
-    auto it = assoc_store_.find(loc.native_name);
-    if (it == assoc_store_.end()) {
-      return Status::Internal("catalog points at missing assoc object: " + object);
-    }
-    return AssocToArray(it->second);
-  }
-  BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FetchAsTable(object));
-  return TableToArray(t);
-}
-
-Result<array::Array> BigDawg::FetchAsArray(const std::string& object) {
-  Result<ObjectSnapshot> before = catalog_.Snapshot(object);
-  for (int attempt = 0;; ++attempt) {
-    Result<array::Array> r = FetchAsArrayOnce(object);
-    if (r.ok() || r.status().code() != StatusCode::kNotFound ||
-        attempt >= 4) {
-      return r;
-    }
-    Result<ObjectSnapshot> now = catalog_.Snapshot(object);
-    if (!before.ok() || !now.ok() ||
-        now->placement.epoch == before->placement.epoch) {
-      return r;
-    }
-    before = std::move(now);
-  }
-}
-
-Result<array::Array> BigDawg::FetchAsArrayOnce(const std::string& object) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard shim_span(trace, "shim:array");
-  if (trace != nullptr) shim_span.Tag("object", object);
-  BIGDAWG_ASSIGN_OR_RETURN(ObjectSnapshot snap, catalog_.Snapshot(object));
-  const ObjectLocation& loc = snap.location;
-  if (trace != nullptr) shim_span.Tag("engine", loc.engine);
-  if (snap.placement.sharded()) {
-    if (trace != nullptr) shim_span.Tag("sharded", "true");
-    if (loc.engine == kEngineSciDb) {
-      return GatherShardedArray(object, snap);
-    }
-    if (loc.engine == kEnginePostgres) {
-      BIGDAWG_ASSIGN_OR_RETURN(relational::Table t,
-                               GatherShardedTable(object, snap));
-      return TableToArray(t);
-    }
-    if (loc.engine == kEngineD4m) {
-      BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                               GatherShardedAssoc(object, snap));
-      return AssocToArray(a);
-    }
-    return Status::Internal("sharded object on unshardable engine: " +
-                            loc.engine);
-  }
-  // A scidb-homed array is a native read; no conversion to cache.
-  if (!cast_cache_.enabled() || loc.engine == kEngineSciDb ||
-      IsCastTemp(object)) {
-    return FetchArrayRouted(object, loc, &shim_span, trace);
-  }
-  CastCacheKey key{object, snap.instance_id, snap.version, CastTarget::kArray,
-                   ""};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const array::Array>> cached =
-      cast_cache_.GetOrCompute<array::Array>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const array::Array>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(
-                array::Array a, FetchArrayRouted(object, loc, &shim_span, trace));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const array::Array>(std::move(a)), size);
-          },
-          [&]() { return catalog_.SnapshotIsCurrent(object, snap); },
-          ActiveCtx(), &outcome, &bytes);
-  StampCacheOutcome(outcome, bytes, cached.ok(), &shim_span, trace);
-  if (!cached.ok()) return cached.status();
-  return **cached;
-}
-
-Result<d4m::AssocArray> BigDawg::FetchAssocRouted(const std::string& object,
-                                                  const ObjectLocation& loc) {
-  if (EngineConsideredDown(loc.engine)) {
-    BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FailoverFetch(object, loc));
-    return TableToAssoc(t);
-  }
-  if (loc.engine == kEngineD4m) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineD4m));
-    std::shared_lock lock(assoc_mu_);
-    auto it = assoc_store_.find(loc.native_name);
-    if (it == assoc_store_.end()) {
-      return Status::Internal("catalog points at missing assoc object: " + object);
-    }
-    return it->second;
-  }
-  if (loc.engine == kEngineAccumulo) {
-    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineAccumulo));
-    // The D4M view of a text corpus: the term x document incidence
-    // associative array (row = term, col = doc id, value = tf).
-    d4m::AssocArray out;
-    kvstore::ScanOptions options;
-    options.family = "idx";
-    text_.backing_store().ApplyToRange(options, [&out](const kvstore::Cell& cell) {
-      // Rows are "term:<t>".
-      std::string term = cell.key.row.substr(5);
-      out.Set(term, cell.key.qualifier,
-              Value(std::strtod(cell.value.c_str(), nullptr)));
-      return true;
-    });
-    return out;
-  }
-  BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, FetchAsTable(object));
-  return TableToAssoc(t);
-}
-
-Result<d4m::AssocArray> BigDawg::FetchAsAssoc(const std::string& object) {
-  Result<ObjectSnapshot> before = catalog_.Snapshot(object);
-  for (int attempt = 0;; ++attempt) {
-    Result<d4m::AssocArray> r = FetchAsAssocOnce(object);
-    if (r.ok() || r.status().code() != StatusCode::kNotFound ||
-        attempt >= 4) {
-      return r;
-    }
-    Result<ObjectSnapshot> now = catalog_.Snapshot(object);
-    if (!before.ok() || !now.ok() ||
-        now->placement.epoch == before->placement.epoch) {
-      return r;
-    }
-    before = std::move(now);
-  }
-}
-
-Result<d4m::AssocArray> BigDawg::FetchAsAssocOnce(const std::string& object) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard shim_span(trace, "shim:assoc");
-  if (trace != nullptr) shim_span.Tag("object", object);
-  BIGDAWG_ASSIGN_OR_RETURN(ObjectSnapshot snap, catalog_.Snapshot(object));
-  const ObjectLocation& loc = snap.location;
-  if (trace != nullptr) shim_span.Tag("engine", loc.engine);
-  if (snap.placement.sharded()) {
-    if (trace != nullptr) shim_span.Tag("sharded", "true");
-    if (loc.engine == kEngineD4m) {
-      return GatherShardedAssoc(object, snap);
-    }
-    if (loc.engine == kEnginePostgres) {
-      BIGDAWG_ASSIGN_OR_RETURN(relational::Table t,
-                               GatherShardedTable(object, snap));
-      return TableToAssoc(t);
-    }
-    if (loc.engine == kEngineSciDb) {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, GatherShardedArray(object, snap));
-      BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, ArrayToTable(a));
-      return TableToAssoc(t);
-    }
-    return Status::Internal("sharded object on unshardable engine: " +
-                            loc.engine);
-  }
-  // A d4m-homed associative array is a native read; no conversion to
-  // cache. (The accumulo term x document incidence build, by contrast, is
-  // O(corpus) and one of the cache's best customers.)
-  if (!cast_cache_.enabled() || loc.engine == kEngineD4m ||
-      IsCastTemp(object)) {
-    return FetchAssocRouted(object, loc);
-  }
-  CastCacheKey key{object, snap.instance_id, snap.version, CastTarget::kAssoc,
-                   ""};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const d4m::AssocArray>> cached =
-      cast_cache_.GetOrCompute<d4m::AssocArray>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const d4m::AssocArray>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                                     FetchAssocRouted(object, loc));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const d4m::AssocArray>(std::move(a)), size);
-          },
-          [&]() { return catalog_.SnapshotIsCurrent(object, snap); },
-          ActiveCtx(), &outcome, &bytes);
-  StampCacheOutcome(outcome, bytes, cached.ok(), &shim_span, trace);
-  if (!cached.ok()) return cached.status();
-  return **cached;
+  return M::Shim(*this, object, loc);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,49 +586,23 @@ Result<d4m::AssocArray> BigDawg::FetchAsAssocOnce(const std::string& object) {
 
 Status BigDawg::StoreTableAs(const relational::Table& table, DataModel model,
                              const std::string& object, ExecContext* temp_owner) {
+  const char* engine = kEnginePostgres;
   switch (model) {
     case DataModel::kRelation:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEnginePostgres));
+      engine = kEnginePostgres;
       break;
     case DataModel::kArray:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
+      engine = kEngineSciDb;
       break;
     case DataModel::kAssociative:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineD4m));
+      engine = kEngineD4m;
       break;
     case DataModel::kTileMatrix:
-      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineTileDb));
+      engine = kEngineTileDb;
       break;
   }
-  switch (model) {
-    case DataModel::kRelation: {
-      BIGDAWG_RETURN_NOT_OK(relational_.PutTable(object, table));
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEnginePostgres, object}));
-      break;
-    }
-    case DataModel::kArray: {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-      BIGDAWG_RETURN_NOT_OK(array_.PutArray(object, std::move(a)));
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEngineSciDb, object}));
-      break;
-    }
-    case DataModel::kAssociative: {
-      BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a, TableToAssoc(table));
-      {
-        std::unique_lock lock(assoc_mu_);
-        assoc_store_[object] = std::move(a);
-      }
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEngineD4m, object}));
-      break;
-    }
-    case DataModel::kTileMatrix: {
-      BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-      BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, ArrayToTileMatrix(a));
-      BIGDAWG_RETURN_NOT_OK(tiledb_.PutArray(object, std::move(m)));
-      BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEngineTileDb, object}));
-      break;
-    }
-  }
+  BIGDAWG_RETURN_NOT_OK(StoreTableOnEngine(table, engine, object));
+  BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, engine, object}));
   if (temp_owner != nullptr) temp_owner->temporaries.push_back(object);
   return Status::OK();
 }
@@ -663,25 +632,19 @@ Status BigDawg::StoreTableOnEngine(const relational::Table& table,
                                    const std::string& native) {
   // Writes never fail over — a down engine fails the store.
   BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-  if (engine == kEnginePostgres) {
-    return relational_.PutTable(native, table);
-  }
-  if (engine == kEngineSciDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-    return array_.PutArray(native, std::move(a));
-  }
   if (engine == kEngineTileDb) {
     BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
     BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, ArrayToTileMatrix(a));
     return tiledb_.PutArray(native, std::move(m));
   }
-  if (engine == kEngineD4m) {
-    BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a, TableToAssoc(table));
-    std::unique_lock lock(assoc_mu_);
-    assoc_store_[native] = std::move(a);
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unsupported storage engine: " + engine);
+  return WithHomeModel(
+      engine,
+      [&](auto home) -> Status {
+        using H = typename decltype(home)::type;
+        BIGDAWG_ASSIGN_OR_RETURN(H value, Model<H>::From(table));
+        return Model<H>::Put(*this, native, std::move(value));
+      },
+      Status::InvalidArgument("unsupported storage engine: " + engine));
 }
 
 void BigDawg::DropPhysical(const std::string& engine, const std::string& native) {
@@ -789,147 +752,58 @@ Result<int64_t> BigDawg::RefreshReplicas(const std::string& object) {
 // Sharded objects: scatter-gather reads
 // ---------------------------------------------------------------------------
 
-Result<relational::Table> BigDawg::FetchTableFragment(const std::string& object,
-                                                      const ObjectSnapshot& snap,
-                                                      int shard) {
-  const std::string& engine = snap.location.engine;
-  const std::string instance = ShardInstanceName(engine, shard);
+template <typename T>
+Result<T> BigDawg::FetchFragment(const std::string& object,
+                                 const ObjectSnapshot& snap, int shard) {
+  const std::string instance = ShardInstanceName(snap.location.engine, shard);
   if (EngineConsideredDown(instance)) {
     return Status::Unavailable("shard instance " + instance + " is down");
   }
   BIGDAWG_RETURN_NOT_OK(CheckEngine(instance));
   const std::string frag =
       ShardFragmentName(snap.location.native_name, snap.placement.epoch, shard);
-  if (!cast_cache_.enabled() || IsCastTemp(object)) {
-    return shard_runtime_.Relational(shard)->GetTable(frag);
-  }
+  auto read = [this, shard, &frag] {
+    return Model<T>::GetShard(shard_runtime_, shard, frag);
+  };
+  if (!cast_cache_.enabled() || IsCastTemp(object)) return read();
   // Fragment reads key the cache on THAT shard's write version (params
   // carry the shard/epoch so two shards of one object never collide):
   // writing or migrating shard 3 invalidates only shard 3's entry and
   // the other shards stay warm.
   CastCacheKey key{object, snap.instance_id,
                    snap.placement.shard_versions[static_cast<size_t>(shard)],
-                   CastTarget::kTable,
+                   Model<T>::kTarget,
                    "s" + std::to_string(shard) + "@e" +
                        std::to_string(snap.placement.epoch)};
   CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const relational::Table>> cached =
-      cast_cache_.GetOrCompute<relational::Table>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const relational::Table>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(
-                relational::Table t, shard_runtime_.Relational(shard)->GetTable(frag));
-            const int64_t size = t.ByteSize();
-            return std::make_pair(
-                std::make_shared<const relational::Table>(std::move(t)), size);
-          },
-          [&]() { return catalog_.ShardStateIsCurrent(object, snap, shard); },
-          // Fragment fetches run on pool threads where no ExecContext is
-          // installed; single-flight waiting still coalesces by key.
-          nullptr, &outcome, &bytes);
-  if (!cached.ok()) return cached.status();
-  return **cached;
+  return cast_cache_.GetOrCompute<T>(
+      key, read,
+      [&] { return catalog_.ShardStateIsCurrent(object, snap, shard); },
+      // Fragment fetches run on pool threads where no ExecContext is
+      // installed; single-flight waiting still coalesces by key.
+      nullptr, &outcome);
 }
 
-Result<array::Array> BigDawg::FetchArrayFragment(const std::string& object,
-                                                 const ObjectSnapshot& snap,
-                                                 int shard) {
-  const std::string& engine = snap.location.engine;
-  const std::string instance = ShardInstanceName(engine, shard);
-  if (EngineConsideredDown(instance)) {
-    return Status::Unavailable("shard instance " + instance + " is down");
-  }
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(instance));
-  const std::string frag =
-      ShardFragmentName(snap.location.native_name, snap.placement.epoch, shard);
-  if (!cast_cache_.enabled() || IsCastTemp(object)) {
-    return shard_runtime_.ArrayAt(shard)->GetArray(frag);
-  }
-  CastCacheKey key{object, snap.instance_id,
-                   snap.placement.shard_versions[static_cast<size_t>(shard)],
-                   CastTarget::kArray,
-                   "s" + std::to_string(shard) + "@e" +
-                       std::to_string(snap.placement.epoch)};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const array::Array>> cached =
-      cast_cache_.GetOrCompute<array::Array>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const array::Array>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(array::Array a,
-                                     shard_runtime_.ArrayAt(shard)->GetArray(frag));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const array::Array>(std::move(a)), size);
-          },
-          [&]() { return catalog_.ShardStateIsCurrent(object, snap, shard); },
-          nullptr, &outcome, &bytes);
-  if (!cached.ok()) return cached.status();
-  return **cached;
-}
-
-Result<d4m::AssocArray> BigDawg::FetchAssocFragment(const std::string& object,
-                                                    const ObjectSnapshot& snap,
-                                                    int shard) {
-  const std::string& engine = snap.location.engine;
-  const std::string instance = ShardInstanceName(engine, shard);
-  if (EngineConsideredDown(instance)) {
-    return Status::Unavailable("shard instance " + instance + " is down");
-  }
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(instance));
-  const std::string frag =
-      ShardFragmentName(snap.location.native_name, snap.placement.epoch, shard);
-  if (!cast_cache_.enabled() || IsCastTemp(object)) {
-    return shard_runtime_.AssocAt(shard)->Get(frag);
-  }
-  CastCacheKey key{object, snap.instance_id,
-                   snap.placement.shard_versions[static_cast<size_t>(shard)],
-                   CastTarget::kAssoc,
-                   "s" + std::to_string(shard) + "@e" +
-                       std::to_string(snap.placement.epoch)};
-  CastCacheOutcome outcome = CastCacheOutcome::kMiss;
-  int64_t bytes = 0;
-  Result<std::shared_ptr<const d4m::AssocArray>> cached =
-      cast_cache_.GetOrCompute<d4m::AssocArray>(
-          key,
-          [&]() -> Result<
-                    std::pair<std::shared_ptr<const d4m::AssocArray>, int64_t>> {
-            BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray a,
-                                     shard_runtime_.AssocAt(shard)->Get(frag));
-            const int64_t size = a.ByteSize();
-            return std::make_pair(
-                std::make_shared<const d4m::AssocArray>(std::move(a)), size);
-          },
-          [&]() { return catalog_.ShardStateIsCurrent(object, snap, shard); },
-          nullptr, &outcome, &bytes);
-  if (!cached.ok()) return cached.status();
-  return **cached;
-}
-
-Result<relational::Table> BigDawg::GatherShardedTable(
-    const std::string& object, const ObjectSnapshot& snap) {
+template <typename T>
+Result<T> BigDawg::Gather(const std::string& object, const ObjectSnapshot& snap) {
   // The trace lives on the gather thread only: obs::Trace is not
   // thread-safe, so pool tasks never touch it.
   obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard span(trace, "scatter:table");
+  obs::SpanGuard span(trace, Model<T>::kScatterSpan);
   if (trace != nullptr) {
     span.Tag("object", object);
     span.Tag("shards", std::to_string(snap.placement.shard_count));
     span.Tag("epoch", std::to_string(snap.placement.epoch));
   }
   int failed_shard = -1;
-  Result<std::vector<relational::Table>> frags =
-      shard_runtime_.ScatterGather<relational::Table>(
-          snap.placement.shard_count,
-          // By value: a failed gather returns before abandoned tasks
-          // (and hedges) drain, so the lambda must own its state.
-          [this, object, snap](int shard) {
-            return FetchTableFragment(object, snap, shard);
-          },
-          &failed_shard);
+  Result<std::vector<T>> frags = shard_runtime_.ScatterGather<T>(
+      snap.placement.shard_count,
+      // By value: a failed gather returns before abandoned tasks
+      // (and hedges) drain, so the lambda must own its state.
+      [this, object, snap](int shard) {
+        return FetchFragment<T>(object, snap, shard);
+      },
+      &failed_shard);
   if (frags.ok()) {
     if (!catalog_.PlacementIsCurrent(object, snap)) {
       // A repartition raced the scatter; surface NotFound so the fetch
@@ -938,84 +812,14 @@ Result<relational::Table> BigDawg::GatherShardedTable(
       return Status::NotFound("placement of " + object +
                               " changed during gather");
     }
-    return MergeTableFragments(std::move(*frags));
+    return Model<T>::Merge(std::move(*frags));
   }
   if (trace != nullptr) span.Tag("error", frags.status().message());
   if (frags.status().code() != StatusCode::kUnavailable) return frags.status();
   // Partial results are never served. A replicated object can still
   // answer whole from a fresh replica; otherwise the failure is typed.
   Result<relational::Table> failover = FailoverFetch(object, snap.location);
-  if (failover.ok()) return failover;
-  if (failed_shard >= 0 && ActiveCtx() != nullptr) {
-    ActiveCtx()->unavailable_engine =
-        ShardInstanceName(snap.location.engine, failed_shard);
-  }
-  return frags.status();
-}
-
-Result<array::Array> BigDawg::GatherShardedArray(const std::string& object,
-                                                 const ObjectSnapshot& snap) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard span(trace, "scatter:array");
-  if (trace != nullptr) {
-    span.Tag("object", object);
-    span.Tag("shards", std::to_string(snap.placement.shard_count));
-    span.Tag("epoch", std::to_string(snap.placement.epoch));
-  }
-  int failed_shard = -1;
-  Result<std::vector<array::Array>> frags =
-      shard_runtime_.ScatterGather<array::Array>(
-          snap.placement.shard_count,
-          [this, object, snap](int shard) {
-            return FetchArrayFragment(object, snap, shard);
-          },
-          &failed_shard);
-  if (frags.ok()) {
-    if (!catalog_.PlacementIsCurrent(object, snap)) {
-      return Status::NotFound("placement of " + object +
-                              " changed during gather");
-    }
-    return MergeArrayFragments(std::move(*frags));
-  }
-  if (trace != nullptr) span.Tag("error", frags.status().message());
-  if (frags.status().code() != StatusCode::kUnavailable) return frags.status();
-  Result<relational::Table> failover = FailoverFetch(object, snap.location);
-  if (failover.ok()) return TableToArray(*failover);
-  if (failed_shard >= 0 && ActiveCtx() != nullptr) {
-    ActiveCtx()->unavailable_engine =
-        ShardInstanceName(snap.location.engine, failed_shard);
-  }
-  return frags.status();
-}
-
-Result<d4m::AssocArray> BigDawg::GatherShardedAssoc(const std::string& object,
-                                                    const ObjectSnapshot& snap) {
-  obs::Trace* trace = ActiveCtx() != nullptr ? ActiveCtx()->trace : nullptr;
-  obs::SpanGuard span(trace, "scatter:assoc");
-  if (trace != nullptr) {
-    span.Tag("object", object);
-    span.Tag("shards", std::to_string(snap.placement.shard_count));
-    span.Tag("epoch", std::to_string(snap.placement.epoch));
-  }
-  int failed_shard = -1;
-  Result<std::vector<d4m::AssocArray>> frags =
-      shard_runtime_.ScatterGather<d4m::AssocArray>(
-          snap.placement.shard_count,
-          [this, object, snap](int shard) {
-            return FetchAssocFragment(object, snap, shard);
-          },
-          &failed_shard);
-  if (frags.ok()) {
-    if (!catalog_.PlacementIsCurrent(object, snap)) {
-      return Status::NotFound("placement of " + object +
-                              " changed during gather");
-    }
-    return MergeAssocFragments(std::move(*frags));
-  }
-  if (trace != nullptr) span.Tag("error", frags.status().message());
-  if (frags.status().code() != StatusCode::kUnavailable) return frags.status();
-  Result<relational::Table> failover = FailoverFetch(object, snap.location);
-  if (failover.ok()) return TableToAssoc(*failover);
+  if (failover.ok()) return Model<T>::From(*failover);
   if (failed_shard >= 0 && ActiveCtx() != nullptr) {
     ActiveCtx()->unavailable_engine =
         ShardInstanceName(snap.location.engine, failed_shard);
@@ -1039,46 +843,27 @@ int BigDawg::DefaultShardCount() {
   return 4;
 }
 
-Result<relational::Table> BigDawg::FetchWholeTableForShard(
-    const ObjectSnapshot& snap, const std::string& object) {
-  if (snap.placement.sharded()) return GatherShardedTable(object, snap);
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(snap.location.engine));
-  return relational_.GetTable(snap.location.native_name);
-}
-
-Status BigDawg::StoreFragment(const std::string& engine, int shard,
-                              const std::string& native,
-                              const relational::Table* table,
-                              const array::Array* array,
-                              const d4m::AssocArray* assoc) {
+template <typename T>
+Status BigDawg::StoreFragment(int shard, const std::string& native,
+                              const T& fragment) {
   // Writes never fail over: a down shard instance fails the store.
-  BIGDAWG_RETURN_NOT_OK(shard_runtime_.CheckInstance(engine, shard));
-  if (engine == kEnginePostgres && table != nullptr) {
-    return shard_runtime_.Relational(shard)->PutTable(native, *table);
-  }
-  if (engine == kEngineSciDb && array != nullptr) {
-    return shard_runtime_.ArrayAt(shard)->PutArray(native, *array);
-  }
-  if (engine == kEngineD4m && assoc != nullptr) {
-    shard_runtime_.AssocAt(shard)->Put(native, *assoc);
-    return Status::OK();
-  }
-  return Status::Internal("StoreFragment: engine/payload mismatch for " +
-                          engine);
+  BIGDAWG_RETURN_NOT_OK(shard_runtime_.CheckInstance(Model<T>::kHome, shard));
+  return Model<T>::PutShard(shard_runtime_, shard, native, fragment);
 }
 
 void BigDawg::DropFragments(const std::string& engine, const std::string& native,
                             const ShardPlacement& placement) {
-  for (int i = 0; i < placement.shard_count; ++i) {
-    const std::string frag = ShardFragmentName(native, placement.epoch, i);
-    if (engine == kEnginePostgres) {
-      (void)shard_runtime_.Relational(i)->DropTable(frag);
-    } else if (engine == kEngineSciDb) {
-      (void)shard_runtime_.ArrayAt(i)->RemoveArray(frag);
-    } else if (engine == kEngineD4m) {
-      shard_runtime_.AssocAt(i)->Erase(frag);
-    }
-  }
+  (void)WithHomeModel(
+      engine,
+      [&](auto home) -> Status {
+        using H = typename decltype(home)::type;
+        for (int i = 0; i < placement.shard_count; ++i) {
+          Model<H>::DropShard(shard_runtime_, i,
+                              ShardFragmentName(native, placement.epoch, i));
+        }
+        return Status::OK();
+      },
+      Status::OK());
 }
 
 Status BigDawg::ShardObject(const std::string& object) {
@@ -1099,90 +884,31 @@ Status BigDawg::ShardObject(const std::string& object, int shard_count,
   ShardPlacement placement;
   placement.shard_count = shard_count;
   placement.epoch = snap.placement.epoch + 1;
-
-  if (engine == kEnginePostgres) {
-    BIGDAWG_ASSIGN_OR_RETURN(relational::Table whole,
-                             FetchWholeTableForShard(snap, object));
-    if (whole.schema().num_fields() == 0) {
-      return Status::InvalidArgument("table has no columns to shard on");
-    }
-    placement.kind = PartitionKind::kHash;
-    placement.key = key.empty() ? whole.schema().field(0).name : key;
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<relational::Table> frags,
-                             PartitionTable(whole, placement));
-    for (int i = 0; i < shard_count; ++i) {
-      BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          engine, i,
-          ShardFragmentName(snap.location.native_name, placement.epoch, i),
-          &frags[static_cast<size_t>(i)], nullptr, nullptr));
-    }
-  } else if (engine == kEngineSciDb) {
-    Result<array::Array> whole_r =
-        snap.placement.sharded()
-            ? GatherShardedArray(object, snap)
-            : [&]() -> Result<array::Array> {
-                BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-                return array_.GetArray(snap.location.native_name);
-              }();
-    BIGDAWG_RETURN_NOT_OK(whole_r.status());
-    const array::Array& whole = *whole_r;
-    if (whole.num_dims() == 0) {
-      return Status::InvalidArgument("array has no dimensions to shard on");
-    }
-    placement.kind = PartitionKind::kRange;
-    placement.key = key.empty() ? whole.dims()[0].name : key;
-    size_t dim_idx = whole.num_dims();
-    for (size_t d = 0; d < whole.num_dims(); ++d) {
-      if (whole.dims()[d].name == placement.key) {
-        dim_idx = d;
-        break;
-      }
-    }
-    if (dim_idx == whole.num_dims()) {
-      return Status::InvalidArgument("no dimension named " + placement.key);
-    }
-    const array::Dimension& dim = whole.dims()[dim_idx];
-    for (int j = 0; j < shard_count - 1; ++j) {
-      placement.range_splits.push_back(
-          dim.start + (dim.length * (j + 1)) / shard_count);
-    }
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<array::Array> frags,
-                             PartitionArray(whole, placement));
-    for (int i = 0; i < shard_count; ++i) {
-      BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          engine, i,
-          ShardFragmentName(snap.location.native_name, placement.epoch, i),
-          nullptr, &frags[static_cast<size_t>(i)], nullptr));
-    }
-  } else if (engine == kEngineD4m) {
-    Result<d4m::AssocArray> whole_r =
-        snap.placement.sharded()
-            ? GatherShardedAssoc(object, snap)
-            : [&]() -> Result<d4m::AssocArray> {
-                BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-                std::shared_lock lock(assoc_mu_);
-                auto it = assoc_store_.find(snap.location.native_name);
-                if (it == assoc_store_.end()) {
-                  return Status::NotFound("no assoc object named " + object);
-                }
-                return it->second;
-              }();
-    BIGDAWG_RETURN_NOT_OK(whole_r.status());
-    placement.kind = PartitionKind::kHash;
-    placement.key = key.empty() ? "row" : key;
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<d4m::AssocArray> frags,
-                             PartitionAssoc(*whole_r, placement));
-    for (int i = 0; i < shard_count; ++i) {
-      BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          engine, i,
-          ShardFragmentName(snap.location.native_name, placement.epoch, i),
-          nullptr, nullptr, &frags[static_cast<size_t>(i)]));
-    }
-  } else {
-    return Status::InvalidArgument(
-        "only postgres/scidb/d4m-homed objects can be sharded (object " +
-        object + " lives on " + engine + ")");
-  }
+  BIGDAWG_RETURN_NOT_OK(WithHomeModel(
+      engine,
+      [&](auto home) -> Status {
+        using H = typename decltype(home)::type;
+        // The whole object in its home model: gathered when already
+        // sharded (a repartition), else one native read.
+        Result<H> whole = snap.placement.sharded()
+                              ? Gather<H>(object, snap)
+                              : [&]() -> Result<H> {
+          BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
+          return Model<H>::Get(*this, snap.location.native_name);
+        }();
+        BIGDAWG_RETURN_NOT_OK(whole.status());
+        BIGDAWG_ASSIGN_OR_RETURN(std::vector<H> frags,
+                                 Model<H>::Partition(*whole, key, &placement));
+        for (int i = 0; i < shard_count; ++i) {
+          BIGDAWG_RETURN_NOT_OK(StoreFragment(
+              i, ShardFragmentName(snap.location.native_name, placement.epoch, i),
+              frags[static_cast<size_t>(i)]));
+        }
+        return Status::OK();
+      },
+      Status::InvalidArgument(
+          "only postgres/scidb/d4m-homed objects can be sharded (object " +
+          object + " lives on " + engine + ")")));
 
   // New-epoch fragments are fully written; the placement swap makes them
   // visible atomically, and only then is the old layout retired.
@@ -1202,24 +928,14 @@ Status BigDawg::UnshardObject(const std::string& object) {
   if (!snap.placement.sharded()) return Status::OK();
   const std::string& engine = snap.location.engine;
   BIGDAWG_RETURN_NOT_OK(CheckEngine(engine));
-  if (engine == kEnginePostgres) {
-    BIGDAWG_ASSIGN_OR_RETURN(relational::Table whole,
-                             GatherShardedTable(object, snap));
-    BIGDAWG_RETURN_NOT_OK(
-        relational_.PutTable(snap.location.native_name, std::move(whole)));
-  } else if (engine == kEngineSciDb) {
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array whole,
-                             GatherShardedArray(object, snap));
-    BIGDAWG_RETURN_NOT_OK(
-        array_.PutArray(snap.location.native_name, std::move(whole)));
-  } else if (engine == kEngineD4m) {
-    BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray whole,
-                             GatherShardedAssoc(object, snap));
-    std::unique_lock lock(assoc_mu_);
-    assoc_store_[snap.location.native_name] = std::move(whole);
-  } else {
-    return Status::Internal("sharded object on unshardable engine: " + engine);
-  }
+  BIGDAWG_RETURN_NOT_OK(WithHomeModel(
+      engine,
+      [&](auto home) -> Status {
+        using H = typename decltype(home)::type;
+        BIGDAWG_ASSIGN_OR_RETURN(H whole, Gather<H>(object, snap));
+        return Model<H>::Put(*this, snap.location.native_name, std::move(whole));
+      },
+      Status::Internal("sharded object on unshardable engine: " + engine)));
   BIGDAWG_RETURN_NOT_OK(catalog_.RemovePlacement(object));
   shard_runtime_.stats().repartitions.fetch_add(1, std::memory_order_relaxed);
   DropFragments(engine, snap.location.native_name, snap.placement);
@@ -1265,9 +981,8 @@ Status BigDawg::StoreStreamHistory(const std::string& object,
     }
     for (int i = 0; i < placement->shard_count; ++i) {
       BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          kEngineSciDb, i,
-          ShardFragmentName(snap.location.native_name, placement->epoch, i),
-          nullptr, &frags[static_cast<size_t>(i)], nullptr));
+          i, ShardFragmentName(snap.location.native_name, placement->epoch, i),
+          frags[static_cast<size_t>(i)]));
     }
     return catalog_.MarkPrimaryWritten(object);
   }

@@ -161,9 +161,9 @@ class BigDawg {
   // ---- Replication (the paper's future-work extension) ----
 
   /// Materializes a read replica of `object` on `target_engine`.
-  /// Model-matched fetches (FetchAsArray on a scidb replica, FetchAsTable
-  /// on a postgres replica) are served from fresh replicas, avoiding the
-  /// cross-model shim. Replicas are read-only; after writing the primary,
+  /// Model-matched fetches (FetchAsTable on a postgres replica,
+  /// FetchAsArray on a scidb replica, FetchAsAssoc on a d4m replica) are
+  /// served from fresh replicas, avoiding the cross-model shim. Replicas are read-only; after writing the primary,
   /// call MarkObjectWritten + RefreshReplicas.
   Status ReplicateObject(const std::string& object, const std::string& target_engine);
   Status DropReplica(const std::string& object, const std::string& engine);
@@ -249,68 +249,51 @@ class BigDawg {
   Result<relational::Table> FetchTableFrom(const std::string& engine,
                                            const std::string& native);
 
-  // ---- Sharded-object internals ----
+  // ---- The one cross-model fetch / gather / repartition path ----
 
-  /// One attempt at a cross-model fetch (the pre-sharding Fetch* bodies).
-  /// The public wrappers retry on NotFound caused by a concurrent
-  /// repartition retiring the physical names a snapshot pointed at.
-  Result<relational::Table> FetchAsTableOnce(const std::string& object);
-  Result<array::Array> FetchAsArrayOnce(const std::string& object);
-  Result<d4m::AssocArray> FetchAsAssocOnce(const std::string& object);
+  /// Per-data-model hooks behind the templates below: home engine, cache
+  /// target, span names, native getters and putters on the base engine
+  /// and on shard instance i, CAST converters into the model, the shim
+  /// for a primary on another engine, and fragment partition/merge.
+  /// Specialized in bigdawg.cc for relational::Table, array::Array and
+  /// d4m::AssocArray, the only models the templates are instantiated for.
+  template <typename T>
+  struct Model;
 
-  /// Gathers a sharded object's fragments in its HOME model (table for
-  /// postgres, array for scidb, assoc for d4m) with bounded retries
-  /// against concurrent repartitions, per-shard failure handling, and
-  /// whole-object replica failover. Cross-model Fetch* wrappers convert
-  /// the gathered result, mirroring the unsharded conversion path.
-  Result<relational::Table> GatherShardedTable(const std::string& object,
-                                               const ObjectSnapshot& snap);
-  Result<array::Array> GatherShardedArray(const std::string& object,
-                                          const ObjectSnapshot& snap);
-  Result<d4m::AssocArray> GatherShardedAssoc(const std::string& object,
-                                             const ObjectSnapshot& snap);
+  /// The public FetchAs* bodies: one attempt, retried (bounded) on a
+  /// NotFound caused by a concurrent repartition retiring the physical
+  /// names a snapshot pointed at.
+  template <typename T>
+  Result<T> Fetch(const std::string& object);
+  /// One attempt: a sharded gather in the home model (converted after
+  /// the merge, mirroring the unsharded path) or the cache-aware Route.
+  template <typename T>
+  Result<T> FetchOnce(const std::string& object);
+  /// Routing behind the cache: down-check and failover (a fresh replica
+  /// on the model's home engine natively, else any fresh replica's
+  /// relation view), home-model replica preference, then the model's
+  /// shim. `shim_span` is the caller's span (for replica tags); `trace`
+  /// may be null.
+  template <typename T>
+  Result<T> Route(const std::string& object, const ObjectLocation& loc,
+                  obs::SpanGuard* shim_span, obs::Trace* trace);
+  /// Gathers a sharded object's fragments in its HOME model T, with
+  /// per-shard failure handling and whole-object replica failover.
+  template <typename T>
+  Result<T> Gather(const std::string& object, const ObjectSnapshot& snap);
   /// One shard's fragment read, through the per-shard cast cache entry
   /// (params "s<i>@e<epoch>", version = that shard's write version).
-  Result<relational::Table> FetchTableFragment(const std::string& object,
-                                               const ObjectSnapshot& snap,
-                                               int shard);
-  Result<array::Array> FetchArrayFragment(const std::string& object,
-                                          const ObjectSnapshot& snap,
-                                          int shard);
-  Result<d4m::AssocArray> FetchAssocFragment(const std::string& object,
-                                             const ObjectSnapshot& snap,
-                                             int shard);
-  /// Fetches the whole object in its home model (table/array/assoc by
-  /// engine), bypassing islands; used by repartitioning.
-  Result<relational::Table> FetchWholeTableForShard(const ObjectSnapshot& snap,
-                                                    const std::string& object);
-  /// Writes fragment `shard` of the new layout and returns OK only when
-  /// the store took (fault plane consulted with the instance name).
-  Status StoreFragment(const std::string& engine, int shard,
-                       const std::string& native,
-                       const relational::Table* table,
-                       const array::Array* array,
-                       const d4m::AssocArray* assoc);
+  template <typename T>
+  Result<T> FetchFragment(const std::string& object,
+                          const ObjectSnapshot& snap, int shard);
+  /// Writes fragment `shard` of a new layout onto that instance of T's
+  /// home engine; OK only when the store took (fault plane consulted
+  /// with the instance name).
+  template <typename T>
+  Status StoreFragment(int shard, const std::string& native, const T& fragment);
   /// Drops one epoch's fragments from the shard instances (best-effort).
   void DropFragments(const std::string& engine, const std::string& native,
                      const ShardPlacement& placement);
-
-  // Routing bodies behind the cache-aware Fetch* wrappers: down-check,
-  // replica preference, engine dispatch. `shim_span` is the wrapper's
-  // span (for replica tags); `trace` may be null.
-  Result<relational::Table> FetchTableRouted(const std::string& object,
-                                             const ObjectLocation& loc,
-                                             obs::SpanGuard* shim_span,
-                                             obs::Trace* trace);
-  Result<array::Array> FetchArrayRouted(const std::string& object,
-                                        const ObjectLocation& loc,
-                                        obs::SpanGuard* shim_span,
-                                        obs::Trace* trace);
-  Result<d4m::AssocArray> FetchAssocRouted(const std::string& object,
-                                           const ObjectLocation& loc);
-  /// Stamps the cache outcome on the active context and the shim span.
-  void StampCacheOutcome(CastCacheOutcome outcome, int64_t bytes, bool ok,
-                         obs::SpanGuard* shim_span, obs::Trace* trace);
 
   // SCOPE/CAST machinery (implemented in scope.cc).
   Result<relational::Table> ExecuteScoped(const std::string& island_name,

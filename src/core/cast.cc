@@ -5,7 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/binary_io.h"
 #include "common/columnar.h"
 #include "common/csv.h"
 #include "common/macros.h"
@@ -46,19 +45,6 @@ const char* DataModelNameForEngine(const std::string& engine) {
   // postgres, and the text (accumulo) / streaming (sstore) engines whose
   // shims surface data relationally.
   return "relation";
-}
-
-int64_t EstimateTableBytes(const relational::Table& table) {
-  // Block-carried metadata: O(1) after the block's first measurement.
-  return table.ByteSize();
-}
-
-int64_t EstimateArrayBytes(const array::Array& array) {
-  return array.ByteSize();
-}
-
-int64_t EstimateAssocBytes(const d4m::AssocArray& assoc) {
-  return assoc.ByteSize();
 }
 
 Result<array::Array> TableToArray(const relational::Table& table,
@@ -257,105 +243,6 @@ Result<array::Array> AssocToArray(const d4m::AssocArray& assoc) {
   });
   BIGDAWG_RETURN_NOT_OK(st);
   return out;
-}
-
-std::string TableToBinary(const relational::Table& table) {
-  BinaryWriter writer;
-  writer.PutSchema(table.schema());
-  writer.PutUint32(static_cast<uint32_t>(table.num_rows()));
-  for (const Row& row : table.rows()) writer.PutRow(row);
-  return writer.Release();
-}
-
-Result<relational::Table> TableFromBinary(const std::string& data) {
-  BinaryReader reader(data);
-  BIGDAWG_ASSIGN_OR_RETURN(Schema schema, reader.GetSchema());
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetUint32());
-  std::vector<Row> rows;
-  rows.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    BIGDAWG_ASSIGN_OR_RETURN(Row row, reader.GetRow());
-    rows.push_back(std::move(row));
-  }
-  return relational::Table(std::move(schema), std::move(rows));
-}
-
-std::string TableToBinaryParallel(const relational::Table& table,
-                                  ThreadPool* pool, size_t num_chunks) {
-  if (num_chunks == 0) num_chunks = std::max<size_t>(1, pool->num_threads());
-  const size_t n = table.num_rows();
-  num_chunks = std::max<size_t>(1, std::min(num_chunks, std::max<size_t>(1, n)));
-  const size_t per_chunk = (n + num_chunks - 1) / num_chunks;
-
-  std::vector<std::string> chunk_bytes(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    pool->Submit([c, per_chunk, n, &table, &chunk_bytes] {
-      BinaryWriter writer;
-      const size_t begin = c * per_chunk;
-      const size_t end = std::min(n, begin + per_chunk);
-      writer.PutUint32(static_cast<uint32_t>(end > begin ? end - begin : 0));
-      for (size_t r = begin; r < end; ++r) writer.PutRow(table.rows()[r]);
-      chunk_bytes[c] = writer.Release();
-    });
-  }
-  pool->WaitIdle();
-
-  BinaryWriter header;
-  header.PutSchema(table.schema());
-  header.PutUint32(static_cast<uint32_t>(num_chunks));
-  for (const std::string& chunk : chunk_bytes) {
-    header.PutUint32(static_cast<uint32_t>(chunk.size()));
-  }
-  std::string out = header.Release();
-  for (std::string& chunk : chunk_bytes) out += chunk;
-  return out;
-}
-
-Result<relational::Table> TableFromBinaryParallel(const std::string& data,
-                                                  ThreadPool* pool) {
-  BinaryReader reader(data);
-  BIGDAWG_ASSIGN_OR_RETURN(Schema schema, reader.GetSchema());
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t num_chunks, reader.GetUint32());
-  std::vector<uint32_t> lengths(num_chunks);
-  for (uint32_t c = 0; c < num_chunks; ++c) {
-    BIGDAWG_ASSIGN_OR_RETURN(lengths[c], reader.GetUint32());
-  }
-  // Compute chunk extents; validate total size.
-  size_t offset = reader.position();
-  std::vector<std::pair<size_t, size_t>> extents;  // (begin, length)
-  for (uint32_t c = 0; c < num_chunks; ++c) {
-    extents.emplace_back(offset, lengths[c]);
-    offset += lengths[c];
-  }
-  if (offset != data.size()) {
-    return Status::ParseError("chunked binary relation has trailing/missing bytes");
-  }
-
-  std::vector<std::vector<Row>> chunk_rows(num_chunks);
-  std::vector<Status> statuses(num_chunks);
-  for (uint32_t c = 0; c < num_chunks; ++c) {
-    pool->Submit([c, &data, &extents, &chunk_rows, &statuses] {
-      BinaryReader chunk_reader(
-          std::string_view(data).substr(extents[c].first, extents[c].second));
-      statuses[c] = [&]() -> Status {
-        BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, chunk_reader.GetUint32());
-        chunk_rows[c].reserve(n);
-        for (uint32_t r = 0; r < n; ++r) {
-          BIGDAWG_ASSIGN_OR_RETURN(Row row, chunk_reader.GetRow());
-          chunk_rows[c].push_back(std::move(row));
-        }
-        return Status::OK();
-      }();
-    });
-  }
-  pool->WaitIdle();
-  for (const Status& st : statuses) BIGDAWG_RETURN_NOT_OK(st);
-
-  std::vector<Row> rows;
-  for (auto& chunk : chunk_rows) {
-    for (Row& row : chunk) rows.push_back(std::move(row));
-  }
-  return relational::Table(std::move(schema), std::move(rows));
 }
 
 Result<relational::Table> TableViaCsvFile(const relational::Table& table,

@@ -6,7 +6,6 @@
 
 #include "array/array.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "d4m/assoc_array.h"
 #include "relational/table.h"
 #include "tiledb/tiledb.h"
@@ -23,26 +22,6 @@ const char* DataModelToString(DataModel model);
 /// engines surface their data relationally through the shims). Used to
 /// label the `from` side of CAST trace spans.
 const char* DataModelNameForEngine(const std::string& engine);
-
-/// \brief Rough wire size of a relation: 8 bytes per scalar cell, string
-/// lengths for strings, 1 byte per NULL. This is the `bytes` tag on CAST
-/// trace spans — an estimate of how much data the cast moved between
-/// engines, not an exact allocation count. Delegates to the block-carried
-/// Table::ByteSize() memo, so it is O(1) after the block's first
-/// measurement instead of an O(cells) rescan.
-int64_t EstimateTableBytes(const relational::Table& table);
-
-/// \brief Rough resident size of an array: allocated chunk storage
-/// (chunks x chunk volume x attributes x 8 bytes) plus the filled bitmap.
-/// Used by the cast cache for its byte accounting. O(1): chunk-count
-/// metadata, no cell scan.
-int64_t EstimateArrayBytes(const array::Array& array);
-
-/// \brief Rough resident size of an associative array: key lengths plus
-/// 8 bytes per numeric value, string lengths for strings. Used by the
-/// cast cache for its byte accounting. Delegates to the block-carried
-/// AssocArray::ByteSize() memo — O(1) after the first measurement.
-int64_t EstimateAssocBytes(const d4m::AssocArray& assoc);
 
 // ---------------------------------------------------------------------------
 // Direct (in-memory, binary) casts — the efficient path the paper calls
@@ -84,24 +63,10 @@ Result<array::Array> TileMatrixToArray(const tiledb::TileDbArray& matrix,
 Result<array::Array> AssocToArray(const d4m::AssocArray& assoc);
 
 // ---------------------------------------------------------------------------
-// Serialized casts. The binary pair is the wire format a cross-engine
-// shim would stream; the CSV pair is the file-based import/export
-// baseline the paper says direct casts must beat (experiment C4).
+// File-based cast: the import/export baseline the paper says direct casts
+// must beat (experiment C4). Every model's binary serialization is
+// core/wire_format.
 // ---------------------------------------------------------------------------
-
-/// \brief Serializes a relation to the compact binary wire format.
-std::string TableToBinary(const relational::Table& table);
-/// \brief Parses the binary wire format back into a relation.
-Result<relational::Table> TableFromBinary(const std::string& data);
-
-/// \brief Chunked variant of the binary wire format that serializes and
-/// parses row ranges concurrently on `pool` — the paper's "read binary
-/// data in parallel directly from another engine". The chunked format is
-/// distinct from (not interchangeable with) the TableToBinary format.
-std::string TableToBinaryParallel(const relational::Table& table,
-                                  ThreadPool* pool, size_t num_chunks = 0);
-Result<relational::Table> TableFromBinaryParallel(const std::string& data,
-                                                  ThreadPool* pool);
 
 /// \brief Round-trips a relation through a CSV file on disk (export +
 /// re-import), returning the re-imported table. Used as the slow-path

@@ -83,8 +83,9 @@ void CastCache::Clear() {
   DropAllLocked();
 }
 
-Result<CastCache::Sized> CastCache::DoGetOrCompute(
-    const CastCacheKey& key, const std::function<Result<Sized>()>& compute,
+Result<CastCache::CachedValue> CastCache::DoGetOrCompute(
+    const CastCacheKey& key,
+    const std::function<Result<CachedValue>()>& compute,
     const std::function<bool()>& still_current, const ExecContext* waiter_ctx,
     CastCacheOutcome* outcome) {
   std::shared_ptr<Flight> flight;
@@ -99,7 +100,7 @@ Result<CastCache::Sized> CastCache::DoGetOrCompute(
       ++hits_;
       if (m_hits_ != nullptr) m_hits_->Increment();
       *outcome = CastCacheOutcome::kHit;
-      return Sized{it->second.value, it->second.bytes};
+      return it->second.value;
     }
     std::shared_ptr<Flight>& slot = flights_[key];
     if (slot == nullptr) {
@@ -127,13 +128,19 @@ Result<CastCache::Sized> CastCache::DoGetOrCompute(
       flight->cv.wait_for(flight_lock, kWaitSlice);
     }
     if (!flight->status.ok()) return flight->status;
-    return Sized{flight->value, flight->bytes};
+    return flight->value;
   }
 
   *outcome = CastCacheOutcome::kMiss;
   // The conversion runs with no cache lock held: it may touch engines,
   // take engine locks, or recurse into the cache under a different key.
-  Result<Sized> computed = compute();
+  Result<CachedValue> computed = compute();
+  // Sized before taking the lock: the first measurement of a fresh block
+  // scans it (later ones read the block-carried memo).
+  const int64_t bytes =
+      computed.ok() ? std::visit([](const auto& handle) { return handle.ByteSize(); },
+                                 *computed)
+                    : 0;
   // Insert only while the catalog still shows the (instance, version) the
   // key was built from; a write that raced the conversion makes the entry
   // unreachable at best and mixed-version at worst, so skip it.
@@ -144,15 +151,14 @@ Result<CastCache::Sized> CastCache::DoGetOrCompute(
     auto it = flights_.find(key);
     if (it != flights_.end() && it->second == flight) flights_.erase(it);
     if (insertable && enabled_) {
-      InsertLocked(key, computed->value, computed->bytes);
+      InsertLocked(key, *computed, bytes);
     }
   }
   {
     std::lock_guard flight_lock(flight->mu);
     flight->done = true;
     if (computed.ok()) {
-      flight->value = computed->value;
-      flight->bytes = computed->bytes;
+      flight->value = *computed;
     } else {
       // Errors are never cached; waiters see this status and the dropped
       // flight means the next request retries from scratch.

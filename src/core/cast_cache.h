@@ -14,19 +14,12 @@
 #include <variant>
 #include <vector>
 
+#include "array/array.h"
 #include "common/result.h"
+#include "d4m/assoc_array.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-
-namespace bigdawg::relational {
-class Table;
-}  // namespace bigdawg::relational
-namespace bigdawg::array {
-class Array;
-}  // namespace bigdawg::array
-namespace bigdawg::d4m {
-class AssocArray;
-}  // namespace bigdawg::d4m
+#include "relational/table.h"
 
 namespace bigdawg::core {
 
@@ -144,36 +137,36 @@ class CastCache {
 
   void Clear();
 
-  /// \brief The cached pointer for `key`, or computes it exactly once
+  /// \brief The cached handle for `key`, or computes it exactly once
   /// across concurrent callers.
   ///
-  /// `compute` returns the value plus its estimated byte size; it runs
-  /// with no cache lock held (it may fetch from engines, recurse into the
-  /// cache under a different key, take engine locks). `still_current` is
-  /// consulted after a successful compute; returning false skips the
-  /// insert (the result is still returned to callers). `waiter_ctx` (may
-  /// be null) lets a coalesced waiter honor deadline/cancellation.
-  /// `outcome` reports hit/miss/coalesced; `bytes_out` (optional) the
-  /// entry's byte estimate.
+  /// `compute` runs with no cache lock held (it may fetch from engines,
+  /// recurse into the cache under a different key, take engine locks);
+  /// its result is sized by the block-carried T::ByteSize().
+  /// `still_current` is consulted after a successful compute; returning
+  /// false skips the insert (the result is still returned to callers).
+  /// `waiter_ctx` (may be null) lets a coalesced waiter honor
+  /// deadline/cancellation. `outcome` reports hit/miss/coalesced;
+  /// `bytes_out` (optional) the entry's byte estimate.
   template <typename T>
-  Result<std::shared_ptr<const T>> GetOrCompute(
-      const CastCacheKey& key,
-      const std::function<
-          Result<std::pair<std::shared_ptr<const T>, int64_t>>()>& compute,
-      const std::function<bool()>& still_current,
-      const ExecContext* waiter_ctx, CastCacheOutcome* outcome,
-      int64_t* bytes_out = nullptr) {
-    Result<Sized> got = DoGetOrCompute(
+  Result<T> GetOrCompute(const CastCacheKey& key,
+                         const std::function<Result<T>()>& compute,
+                         const std::function<bool()>& still_current,
+                         const ExecContext* waiter_ctx,
+                         CastCacheOutcome* outcome,
+                         int64_t* bytes_out = nullptr) {
+    Result<CachedValue> got = DoGetOrCompute(
         key,
-        [&compute]() -> Result<Sized> {
-          Result<std::pair<std::shared_ptr<const T>, int64_t>> r = compute();
+        [&compute]() -> Result<CachedValue> {
+          Result<T> r = compute();
           if (!r.ok()) return r.status();
-          return Sized{CachedValue(std::move(r->first)), r->second};
+          return CachedValue(std::move(*r));
         },
         still_current, waiter_ctx, outcome);
     if (!got.ok()) return got.status();
-    if (bytes_out != nullptr) *bytes_out = got->bytes;
-    return std::get<std::shared_ptr<const T>>(got->value);
+    T value = std::get<T>(std::move(*got));
+    if (bytes_out != nullptr) *bytes_out = value.ByteSize();
+    return value;
   }
 
   /// True when `key` is resident. No stats or LRU effect — this is the
@@ -192,15 +185,10 @@ class CastCache {
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
+  /// The copy-on-write handles themselves: a hit shares the cached block,
+  /// and a caller's first write thaws a private clone.
   using CachedValue =
-      std::variant<std::shared_ptr<const relational::Table>,
-                   std::shared_ptr<const array::Array>,
-                   std::shared_ptr<const d4m::AssocArray>>;
-
-  struct Sized {
-    CachedValue value;
-    int64_t bytes = 0;
-  };
+      std::variant<relational::Table, array::Array, d4m::AssocArray>;
 
   /// One in-progress computation; waiters block on `cv` until `done`.
   struct Flight {
@@ -209,7 +197,6 @@ class CastCache {
     bool done = false;
     Status status = Status::OK();
     CachedValue value;
-    int64_t bytes = 0;
   };
 
   struct Entry {
@@ -220,11 +207,11 @@ class CastCache {
     std::list<CastCacheKey>::iterator lru_it;
   };
 
-  Result<Sized> DoGetOrCompute(const CastCacheKey& key,
-                               const std::function<Result<Sized>()>& compute,
-                               const std::function<bool()>& still_current,
-                               const ExecContext* waiter_ctx,
-                               CastCacheOutcome* outcome);
+  Result<CachedValue> DoGetOrCompute(
+      const CastCacheKey& key,
+      const std::function<Result<CachedValue>()>& compute,
+      const std::function<bool()>& still_current,
+      const ExecContext* waiter_ctx, CastCacheOutcome* outcome);
 
   void InsertLocked(const CastCacheKey& key, CachedValue value, int64_t bytes);
   void EvictOneLocked();

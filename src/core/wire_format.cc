@@ -5,6 +5,7 @@
 
 #include "common/columnar.h"
 #include "common/macros.h"
+#include "common/value_codec.h"
 #include "common/varint.h"
 
 namespace bigdawg::core {
@@ -18,93 +19,6 @@ constexpr uint8_t kKindAssoc = 3;
 
 /// Per-column encoding byte: a uniform DataType code, or per-cell tags.
 constexpr uint8_t kEncodingMixed = 0xff;
-
-void PutLengthPrefixed(std::string* out, const std::string& s) {
-  common::PutVarint64(out, s.size());
-  out->append(s);
-}
-
-Result<std::string> GetLengthPrefixed(common::VarintReader* reader) {
-  BIGDAWG_ASSIGN_OR_RETURN(uint64_t len, reader->GetVarint64());
-  BIGDAWG_ASSIGN_OR_RETURN(const char* bytes, reader->GetBytes(len));
-  return std::string(bytes, len);
-}
-
-/// Doubles travel as their exact 8-byte little-endian bit pattern so the
-/// round trip is lossless (including -0.0 and NaN payloads).
-void PutFixed64(std::string* out, uint64_t bits) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(bits >> (8 * i));
-  out->append(buf, 8);
-}
-
-void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutFixed64(out, bits);
-}
-
-Result<double> GetDouble(common::VarintReader* reader) {
-  BIGDAWG_ASSIGN_OR_RETURN(const char* bytes, reader->GetBytes(8));
-  uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
-  }
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
-
-/// Payload of one non-null cell, sans type tag.
-void PutValuePayload(std::string* out, const Value& v) {
-  switch (v.type()) {
-    case DataType::kBool:
-      out->push_back(v.bool_unchecked() ? 1 : 0);
-      break;
-    case DataType::kInt64:
-      common::PutVarintSigned(out, v.int64_unchecked());
-      break;
-    case DataType::kDouble:
-      PutDouble(out, v.double_unchecked());
-      break;
-    case DataType::kString:
-      PutLengthPrefixed(out, v.string_unchecked());
-      break;
-    case DataType::kNull:
-      break;  // unreachable: nulls live in the bitmap, not the payload
-  }
-}
-
-Result<Value> GetValuePayload(common::VarintReader* reader, DataType type) {
-  switch (type) {
-    case DataType::kBool: {
-      BIGDAWG_ASSIGN_OR_RETURN(uint8_t b, reader->GetByte());
-      return Value(b != 0);
-    }
-    case DataType::kInt64: {
-      BIGDAWG_ASSIGN_OR_RETURN(int64_t v, reader->GetVarintSigned());
-      return Value(v);
-    }
-    case DataType::kDouble: {
-      BIGDAWG_ASSIGN_OR_RETURN(double v, GetDouble(reader));
-      return Value(v);
-    }
-    case DataType::kString: {
-      BIGDAWG_ASSIGN_OR_RETURN(std::string s, GetLengthPrefixed(reader));
-      return Value(std::move(s));
-    }
-    case DataType::kNull:
-      return Value::Null();
-  }
-  return Status::InvalidArgument("bad value type tag");
-}
-
-Result<DataType> CheckTypeTag(uint64_t tag) {
-  if (tag > static_cast<uint64_t>(DataType::kString)) {
-    return Status::InvalidArgument("bad data type tag " + std::to_string(tag));
-  }
-  return static_cast<DataType>(tag);
-}
 
 void PutFrameHeader(std::string* out, uint8_t kind) {
   out->append(kMagic, 4);
@@ -136,12 +50,7 @@ std::string EncodeTable(const relational::Table& table) {
   PutFrameHeader(&out, kKindTable);
 
   const Schema& schema = table.schema();
-  common::PutVarint64(&out, schema.num_fields());
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    const Field& f = schema.field(i);
-    PutLengthPrefixed(&out, f.name);
-    out.push_back(static_cast<char>(f.type));
-  }
+  common::PutSchema(&out, schema);
 
   const size_t n = table.num_rows();
   common::PutVarint64(&out, n);
@@ -172,13 +81,16 @@ std::string EncodeTable(const relational::Table& table) {
       for (size_t b = 0; b < 64 && w * 64 + b < n; ++b) {
         if (col.IsNull(w * 64 + b)) word |= uint64_t{1} << b;
       }
-      PutFixed64(&out, word);
+      common::PutFixed64(&out, word);
     }
 
     for (size_t r = 0; r < n; ++r) {
       if (col.IsNull(r)) continue;
-      if (mixed) out.push_back(static_cast<char>(col[r].type()));
-      PutValuePayload(&out, col[r]);
+      if (mixed) {
+        common::PutTaggedValue(&out, col[r]);
+      } else {
+        common::PutValuePayload(&out, col[r]);
+      }
     }
   }
   return out;
@@ -187,58 +99,51 @@ std::string EncodeTable(const relational::Table& table) {
 Result<relational::Table> DecodeTable(const std::string& wire) {
   common::VarintReader reader(wire);
   BIGDAWG_RETURN_NOT_OK(CheckFrameHeader(&reader, kKindTable));
-
-  BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_fields, reader.GetVarint64());
-  std::vector<Field> fields;
-  fields.reserve(num_fields);
-  for (uint64_t i = 0; i < num_fields; ++i) {
-    BIGDAWG_ASSIGN_OR_RETURN(std::string name, GetLengthPrefixed(&reader));
-    BIGDAWG_ASSIGN_OR_RETURN(uint8_t tag, reader.GetByte());
-    BIGDAWG_ASSIGN_OR_RETURN(DataType type, CheckTypeTag(tag));
-    fields.emplace_back(std::move(name), type);
-  }
+  BIGDAWG_ASSIGN_OR_RETURN(Schema schema, common::GetSchema(&reader));
+  const size_t num_fields = schema.num_fields();
 
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t n, reader.GetVarint64());
+  // Rows are allocated before any cell is read, so the count is bounded
+  // first: every column spends an encoding byte plus one 8-byte null
+  // bitmap word per 64 rows, and a frame without columns has no bytes to
+  // bound its rows by.
+  const uint64_t words = n / 64 + (n % 64 != 0 ? 1 : 0);
+  const uint64_t per_column =
+      num_fields > 0 ? reader.remaining() / num_fields : 0;
+  if (n > 0 && (per_column == 0 || words > (per_column - 1) / 8)) {
+    return Status::InvalidArgument(
+        "table frame claims " + std::to_string(n) + " rows that its " +
+        std::to_string(reader.remaining()) + " remaining bytes cannot hold");
+  }
   // Column-major decode into row-major storage.
   std::vector<Row> rows(n);
   for (auto& row : rows) row.resize(num_fields);
 
-  for (uint64_t c = 0; c < num_fields; ++c) {
+  for (size_t c = 0; c < num_fields; ++c) {
     BIGDAWG_ASSIGN_OR_RETURN(uint8_t enc, reader.GetByte());
     const bool mixed = enc == kEncodingMixed;
     DataType uniform = DataType::kNull;
     if (!mixed) {
-      BIGDAWG_ASSIGN_OR_RETURN(uniform, CheckTypeTag(enc));
+      BIGDAWG_ASSIGN_OR_RETURN(uniform, common::CheckTypeTag(enc));
     }
 
-    const size_t words = (n + 63) / 64;
     std::vector<uint64_t> bitmap(words, 0);
-    for (size_t w = 0; w < words; ++w) {
-      BIGDAWG_ASSIGN_OR_RETURN(const char* bytes, reader.GetBytes(8));
-      uint64_t word = 0;
-      for (int i = 0; i < 8; ++i) {
-        word |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[i]))
-                << (8 * i);
-      }
-      bitmap[w] = word;
+    for (uint64_t w = 0; w < words; ++w) {
+      BIGDAWG_ASSIGN_OR_RETURN(bitmap[w], common::GetFixed64(&reader));
     }
 
     for (uint64_t r = 0; r < n; ++r) {
       if ((bitmap[r >> 6] >> (r & 63)) & 1u) continue;  // stays null
-      DataType type = uniform;
-      if (mixed) {
-        BIGDAWG_ASSIGN_OR_RETURN(uint8_t tag, reader.GetByte());
-        BIGDAWG_ASSIGN_OR_RETURN(type, CheckTypeTag(tag));
-      }
-      BIGDAWG_ASSIGN_OR_RETURN(Value v, GetValuePayload(&reader, type));
-      rows[r][c] = std::move(v);
+      BIGDAWG_ASSIGN_OR_RETURN(
+          rows[r][c], mixed ? common::GetTaggedValue(&reader)
+                            : common::GetValuePayload(&reader, uniform));
     }
   }
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after table frame");
   }
 
-  relational::Table out{Schema(std::move(fields))};
+  relational::Table out{std::move(schema)};
   for (Row& row : rows) out.AppendUnchecked(std::move(row));
   return out;
 }
@@ -253,13 +158,13 @@ std::string EncodeArray(const array::Array& array) {
 
   common::PutVarint64(&out, array.num_dims());
   for (const array::Dimension& d : array.dims()) {
-    PutLengthPrefixed(&out, d.name);
+    common::PutLengthPrefixed(&out, d.name);
     common::PutVarintSigned(&out, d.start);
     common::PutVarint64(&out, static_cast<uint64_t>(d.length));
     common::PutVarint64(&out, static_cast<uint64_t>(d.chunk_length));
   }
   common::PutVarint64(&out, array.num_attrs());
-  for (const std::string& a : array.attrs()) PutLengthPrefixed(&out, a);
+  for (const std::string& a : array.attrs()) common::PutLengthPrefixed(&out, a);
 
   // Canonical cell order: chunk iteration order is an unordered_map
   // artifact, so collect and sort by coordinates before emitting.
@@ -279,7 +184,7 @@ std::string EncodeArray(const array::Array& array) {
   common::PutVarint64(&out, cells.size());
   for (const Cell& cell : cells) {
     for (int64_t c : cell.coords) common::PutVarintSigned(&out, c);
-    for (double v : cell.values) PutDouble(&out, v);
+    for (double v : cell.values) common::PutDouble(&out, v);
   }
   return out;
 }
@@ -288,22 +193,26 @@ Result<array::Array> DecodeArray(const std::string& wire) {
   common::VarintReader reader(wire);
   BIGDAWG_RETURN_NOT_OK(CheckFrameHeader(&reader, kKindArray));
 
-  BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_dims, reader.GetVarint64());
+  // Every dimension costs at least its name length, start, length and
+  // chunk-length varints; every attribute at least its name length.
+  BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_dims,
+                           common::GetBoundedCount(&reader, 4));
   std::vector<array::Dimension> dims;
   dims.reserve(num_dims);
   for (uint64_t i = 0; i < num_dims; ++i) {
-    BIGDAWG_ASSIGN_OR_RETURN(std::string name, GetLengthPrefixed(&reader));
+    BIGDAWG_ASSIGN_OR_RETURN(std::string name, common::GetLengthPrefixed(&reader));
     BIGDAWG_ASSIGN_OR_RETURN(int64_t start, reader.GetVarintSigned());
     BIGDAWG_ASSIGN_OR_RETURN(uint64_t length, reader.GetVarint64());
     BIGDAWG_ASSIGN_OR_RETURN(uint64_t chunk_length, reader.GetVarint64());
     dims.emplace_back(std::move(name), start, static_cast<int64_t>(length),
                       static_cast<int64_t>(chunk_length));
   }
-  BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_attrs, reader.GetVarint64());
+  BIGDAWG_ASSIGN_OR_RETURN(uint64_t num_attrs,
+                           common::GetBoundedCount(&reader, 1));
   std::vector<std::string> attrs;
   attrs.reserve(num_attrs);
   for (uint64_t i = 0; i < num_attrs; ++i) {
-    BIGDAWG_ASSIGN_OR_RETURN(std::string a, GetLengthPrefixed(&reader));
+    BIGDAWG_ASSIGN_OR_RETURN(std::string a, common::GetLengthPrefixed(&reader));
     attrs.push_back(std::move(a));
   }
 
@@ -318,7 +227,7 @@ Result<array::Array> DecodeArray(const std::string& wire) {
       BIGDAWG_ASSIGN_OR_RETURN(coords[d], reader.GetVarintSigned());
     }
     for (uint64_t a = 0; a < num_attrs; ++a) {
-      BIGDAWG_ASSIGN_OR_RETURN(values[a], GetDouble(&reader));
+      BIGDAWG_ASSIGN_OR_RETURN(values[a], common::GetDouble(&reader));
     }
     BIGDAWG_RETURN_NOT_OK(out.Set(coords, values));
   }
@@ -339,10 +248,9 @@ std::string EncodeAssoc(const d4m::AssocArray& assoc) {
   // ForEach visits in (row, col) key order: already canonical.
   assoc.ForEach([&out](const std::string& row, const std::string& col,
                        const Value& value) {
-    PutLengthPrefixed(&out, row);
-    PutLengthPrefixed(&out, col);
-    out.push_back(static_cast<char>(value.type()));
-    PutValuePayload(&out, value);
+    common::PutLengthPrefixed(&out, row);
+    common::PutLengthPrefixed(&out, col);
+    common::PutTaggedValue(&out, value);
   });
   return out;
 }
@@ -353,11 +261,9 @@ Result<d4m::AssocArray> DecodeAssoc(const std::string& wire) {
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t cells, reader.GetVarint64());
   d4m::AssocArray out;
   for (uint64_t i = 0; i < cells; ++i) {
-    BIGDAWG_ASSIGN_OR_RETURN(std::string row, GetLengthPrefixed(&reader));
-    BIGDAWG_ASSIGN_OR_RETURN(std::string col, GetLengthPrefixed(&reader));
-    BIGDAWG_ASSIGN_OR_RETURN(uint8_t tag, reader.GetByte());
-    BIGDAWG_ASSIGN_OR_RETURN(DataType type, CheckTypeTag(tag));
-    BIGDAWG_ASSIGN_OR_RETURN(Value v, GetValuePayload(&reader, type));
+    BIGDAWG_ASSIGN_OR_RETURN(std::string row, common::GetLengthPrefixed(&reader));
+    BIGDAWG_ASSIGN_OR_RETURN(std::string col, common::GetLengthPrefixed(&reader));
+    BIGDAWG_ASSIGN_OR_RETURN(Value v, common::GetTaggedValue(&reader));
     if (v.is_null()) {
       return Status::InvalidArgument("assoc wire cell with null value");
     }

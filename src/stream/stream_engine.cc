@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/binary_io.h"
 #include "common/macros.h"
+#include "common/value_codec.h"
 
 namespace bigdawg::stream {
 
@@ -667,25 +667,26 @@ std::vector<LogRecord> StreamEngine::SnapshotCommandLog() const {
 }
 
 std::string StreamEngine::SerializeLog(const std::vector<LogRecord>& log) {
-  BinaryWriter writer;
-  writer.PutUint32(static_cast<uint32_t>(log.size()));
+  std::string out;
+  common::PutVarint64(&out, log.size());
   for (const LogRecord& rec : log) {
-    writer.PutString(rec.procedure);
-    writer.PutRow(rec.input);
+    common::PutLengthPrefixed(&out, rec.procedure);
+    common::PutRow(&out, rec.input);
   }
-  return writer.Release();
+  return out;
 }
 
 Result<std::vector<LogRecord>> StreamEngine::DeserializeLog(
     const std::string& bytes) {
-  BinaryReader reader(bytes);
-  BIGDAWG_ASSIGN_OR_RETURN(uint32_t n, reader.GetUint32());
+  common::VarintReader reader(bytes);
+  // Every record costs at least a procedure-name length and a cell count.
+  BIGDAWG_ASSIGN_OR_RETURN(uint64_t n, common::GetBoundedCount(&reader, 2));
   std::vector<LogRecord> log;
   log.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
+  for (uint64_t i = 0; i < n; ++i) {
     LogRecord rec;
-    BIGDAWG_ASSIGN_OR_RETURN(rec.procedure, reader.GetString());
-    BIGDAWG_ASSIGN_OR_RETURN(rec.input, reader.GetRow());
+    BIGDAWG_ASSIGN_OR_RETURN(rec.procedure, common::GetLengthPrefixed(&reader));
+    BIGDAWG_ASSIGN_OR_RETURN(rec.input, common::GetRow(&reader));
     log.push_back(std::move(rec));
   }
   if (!reader.AtEnd()) {

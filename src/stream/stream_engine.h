@@ -334,8 +334,9 @@ class StreamEngine {
   /// re-executing each procedure synchronously.
   Status ReplayLog(const std::vector<LogRecord>& log);
 
-  /// Durable form of the command log: the compact binary wire format the
-  /// recovery scheme writes to stable storage.
+  /// Durable form of the command log, framed with the value codec the
+  /// wire format uses: varint record count | (length-prefixed procedure
+  /// | row)*. Truncated, corrupt or oversized input fails typed.
   static std::string SerializeLog(const std::vector<LogRecord>& log);
   static Result<std::vector<LogRecord>> DeserializeLog(const std::string& bytes);
 

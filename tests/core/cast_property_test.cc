@@ -2,16 +2,33 @@
 // tables must survive round trips through every model that can represent
 // them losslessly.
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
+#include "common/value_codec.h"
 #include "core/cast.h"
+#include "core/wire_format.h"
 #include "stream/stream_engine.h"
 
 namespace bigdawg::core {
 namespace {
+
+/// A scratch CSV path unique to this test and process, so parallel ctest
+/// runs of the seed sweep never share (and race on) one file.
+std::string ScratchCsvPath() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + name + "." + std::to_string(getpid()) + ".csv";
+}
 
 // A random "waveform-shaped" table: unique int64 coordinates + doubles.
 relational::Table RandomNumericTable(uint64_t seed, int64_t rows) {
@@ -54,25 +71,17 @@ TEST_P(CastRoundTripSweep, RelationArrayRelation) {
 
 TEST_P(CastRoundTripSweep, RelationBinaryRelation) {
   relational::Table t = RandomNumericTable(GetParam(), 500);
-  relational::Table back = *TableFromBinary(TableToBinary(t));
+  relational::Table back = *DecodeTable(EncodeTable(t));
   EXPECT_TRUE(t.schema() == back.schema());
   EXPECT_TRUE(SameRowMultiset(t, back));
-}
-
-TEST_P(CastRoundTripSweep, SerialAndParallelWireFormatsAgree) {
-  ThreadPool pool(3);
-  relational::Table t = RandomNumericTable(GetParam(), 333);
-  relational::Table serial = *TableFromBinary(TableToBinary(t));
-  relational::Table parallel =
-      *TableFromBinaryParallel(TableToBinaryParallel(t, &pool), &pool);
-  EXPECT_TRUE(SameRowMultiset(serial, parallel));
 }
 
 TEST_P(CastRoundTripSweep, RelationCsvRelation) {
   relational::Table t = RandomNumericTable(GetParam(), 100);
   // Doubles survive CSV only approximately; compare via re-parse of both.
-  relational::Table back =
-      *TableViaCsvFile(t, "/tmp/bigdawg_cast_prop.csv");
+  const std::string path = ScratchCsvPath();
+  relational::Table back = *TableViaCsvFile(t, path);
+  std::remove(path.c_str());
   ASSERT_EQ(back.num_rows(), t.num_rows());
   for (size_t r = 0; r < t.num_rows(); ++r) {
     for (size_t c = 0; c < 2; ++c) {  // int64 coordinates are exact
@@ -140,6 +149,38 @@ TEST(StreamLogSerializationTest, RoundTrip) {
   EXPECT_FALSE(stream::StreamEngine::DeserializeLog(bytes + "x").ok());
   EXPECT_FALSE(
       stream::StreamEngine::DeserializeLog(bytes.substr(0, bytes.size() - 3)).ok());
+}
+
+TEST(StreamLogSerializationTest, EveryTruncationFailsTyped) {
+  std::vector<stream::LogRecord> log;
+  log.push_back({"proc_a", {Value(1), Value(2.5), Value("x"), Value(true)}});
+  log.push_back({"proc_b", {}});
+  log.push_back({"proc_a", {Value::Null()}});
+  const std::string bytes = stream::StreamEngine::SerializeLog(log);
+  // Every proper prefix is a typed error: no throw, no crash, and never a
+  // silently shorter log.
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(stream::StreamEngine::DeserializeLog(bytes.substr(0, cut)).ok())
+        << "a " << cut << "-byte prefix decoded";
+  }
+}
+
+TEST(StreamLogSerializationTest, OversizedCountsFailTyped) {
+  // A header claiming more records, or a record claiming more cells,
+  // than the bytes that follow could hold is rejected before anything
+  // is sized from it.
+  for (uint64_t claimed :
+       {uint64_t{0xfffffff0}, uint64_t{1} << 32, uint64_t{1} << 62}) {
+    std::string bytes;
+    common::PutVarint64(&bytes, claimed);
+    bytes += "proc_a";
+    EXPECT_FALSE(stream::StreamEngine::DeserializeLog(bytes).ok()) << claimed;
+  }
+  std::string cells;
+  common::PutVarint64(&cells, 1);
+  common::PutLengthPrefixed(&cells, "proc_a");
+  common::PutVarint64(&cells, uint64_t{1} << 40);
+  EXPECT_FALSE(stream::StreamEngine::DeserializeLog(cells).ok());
 }
 
 }  // namespace

