@@ -290,11 +290,14 @@ std::vector<Case> AllCases() {
   return cases;
 }
 
-std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
-  const Case& c = info.param;
-  return c.home + "_" + ModelName(c.model) +
-         (c.sharded ? "_sharded3" : "_unsharded") +
-         (c.cache ? "_cacheon" : "_cacheoff") + (c.down ? "_down" : "_up");
+// gtest_discover_tests names each case after its printed parameter. A
+// name generator would not help: the ctest name would keep gtest's raw
+// byte dump of the struct, i.e. the address inside `home`, which changes
+// on every build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.home << "_" << ModelName(c.model)
+      << (c.sharded ? "_sharded3" : "_unsharded")
+      << (c.cache ? "_cacheon" : "_cacheoff") << (c.down ? "_down" : "_up");
 }
 
 class FetchMatrixTest : public ::testing::TestWithParam<Case> {};
@@ -383,7 +386,7 @@ TEST_P(FetchMatrixTest, ServesTheRouteItsPlacementImplies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, FetchMatrixTest,
-                         ::testing::ValuesIn(AllCases()), CaseName);
+                         ::testing::ValuesIn(AllCases()));
 
 }  // namespace
 }  // namespace bigdawg::core

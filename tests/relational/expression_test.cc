@@ -142,6 +142,13 @@ struct LikeCase {
   bool expected;
 };
 
+// gtest_discover_tests names each case after its printed parameter; without
+// this the name would be the struct's raw bytes, i.e. the (ASLR-randomised)
+// addresses of the string literals, and change on every build.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << '\'' << c.text << "' LIKE '" << c.pattern << '\'';
+}
+
 class LikeMatchSweep : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeMatchSweep, Matches) {
