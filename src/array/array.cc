@@ -205,6 +205,16 @@ Array::Chunk* Array::GetOrCreateChunk(Rep* rep, const Coordinates& key) {
   return inserted.first->second.Mutable();
 }
 
+Status Array::GrowDim(size_t dim, int64_t length) {
+  if (dim >= num_dims()) return Status::OutOfRange("dimension index");
+  if (length < dims()[dim].length) {
+    return Status::InvalidArgument("dimension '" + dims()[dim].name +
+                                   "' cannot shrink");
+  }
+  if (length > dims()[dim].length) rep_.Mutable()->dims[dim].length = length;
+  return Status::OK();
+}
+
 Status Array::Set(const Coordinates& coords, const std::vector<double>& values) {
   BIGDAWG_RETURN_NOT_OK(CheckCoords(coords));
   if (values.size() != num_attrs()) {

@@ -28,6 +28,8 @@ struct Dimension {
         start(start_in),
         length(length_in),
         chunk_length(chunk_length_in) {}
+
+  bool operator==(const Dimension&) const = default;
 };
 
 /// \brief Coordinates of a cell (one entry per dimension).
@@ -92,6 +94,11 @@ class Array {
   /// Ensures exclusive ownership of the block (chunk payloads stay
   /// shared until individually written).
   Array& Thaw();
+
+  /// Extends dimension `dim` to `length` cells. Its start and chunk grid
+  /// are unchanged, so every existing cell keeps its chunk and offset and
+  /// no chunk is touched; InvalidArgument when `length` would shrink it.
+  Status GrowDim(size_t dim, int64_t length);
 
   /// Writes all attributes of one cell; OutOfRange outside the array box.
   Status Set(const Coordinates& coords, const std::vector<double>& values);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <type_traits>
 
@@ -957,46 +959,118 @@ Status BigDawg::EnableStreamAgeOut(const StreamAgeOutConfig& config) {
 
 Status BigDawg::StoreStreamHistory(const std::string& object,
                                    const relational::Table& table) {
-  Result<ShardPlacement> placement = catalog_.Placement(object);
-  if (placement.ok() && placement->sharded()) {
-    // Sharded history: partition the flushed window by the placement map
-    // so every fragment lands on its owning shard instance (new hist_seq
-    // rows route to the last, unbounded-above range shard).
-    BIGDAWG_ASSIGN_OR_RETURN(ObjectSnapshot snap, catalog_.Snapshot(object));
-    if (snap.location.engine != kEngineSciDb) {
-      return Status::Internal("stream history must live on the array engine");
+  return StoreStreamHistory(object, table, std::numeric_limits<size_t>::max())
+      .status();
+}
+
+Result<HistoryWrite> BigDawg::StoreStreamHistory(const std::string& object,
+                                                 const relational::Table& rows,
+                                                 size_t max_rows) {
+  // Every store below works on snapshots (CoW handles) of the stored
+  // arrays and replaces them only once the new cells are all written, so
+  // a failed flush changes nothing and the pipeline keeps its rows
+  // pending. (A sharded store can still fail between fragments; the
+  // retry rewrites the same cells, since hist_seq fixes a row's cell.)
+  Result<ObjectSnapshot> snap = catalog_.Snapshot(object);
+  if (!snap.ok()) {
+    if (!snap.status().IsNotFound()) return snap.status();
+    // Writes never fail over: a down array engine fails the store.
+    BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
+    BIGDAWG_ASSIGN_OR_RETURN(array::Array built, BuildHistory({}, rows, max_rows));
+    BIGDAWG_RETURN_NOT_OK(array_.PutArray(object, std::move(built)));
+    BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, kEngineSciDb, object}));
+    return HistoryWrite::kCreated;
+  }
+  if (snap->location.engine != kEngineSciDb) {
+    return Status::Internal("stream history must live on the array engine");
+  }
+  const std::string& native = snap->location.native_name;
+  const ShardPlacement& placement = snap->placement;
+  const int shards = placement.sharded() ? placement.shard_count : 1;
+  // Probe every shard instance up front so a down shard fails the flush
+  // before any fragment is replaced.
+  for (int i = 0; placement.sharded() && i < shards; ++i) {
+    if (shard_runtime_.InstanceConsideredDown(kEngineSciDb, i)) {
+      return Status::Unavailable("shard instance " +
+                                 ShardInstanceName(kEngineSciDb, i) +
+                                 " is down; stream history flush deferred");
     }
-    BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-    BIGDAWG_ASSIGN_OR_RETURN(std::vector<array::Array> frags,
-                             PartitionArray(a, *placement));
-    // Probe every shard instance up front so a down shard fails the
-    // flush before any fragment is replaced (the age-out pipeline keeps
-    // the rows pending and retries).
-    for (int i = 0; i < placement->shard_count; ++i) {
-      if (shard_runtime_.InstanceConsideredDown(kEngineSciDb, i)) {
-        return Status::Unavailable(
-            "shard instance " + ShardInstanceName(kEngineSciDb, i) +
-            " is down; stream history flush deferred");
+  }
+  // The stored history: one array, or one per shard. A sharded history's
+  // fragments all carry the full dimensions (PartitionArray).
+  std::vector<array::Array> parts;
+  for (int i = 0; i < shards; ++i) {
+    if (placement.sharded()) {
+      BIGDAWG_RETURN_NOT_OK(shard_runtime_.CheckInstance(kEngineSciDb, i));
+      BIGDAWG_ASSIGN_OR_RETURN(
+          array::Array frag,
+          Model<array::Array>::GetShard(
+              shard_runtime_, i, ShardFragmentName(native, placement.epoch, i)));
+      parts.push_back(std::move(frag));
+    } else {
+      BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
+      BIGDAWG_ASSIGN_OR_RETURN(array::Array whole, array_.GetArray(native));
+      parts.push_back(std::move(whole));
+    }
+  }
+
+  // A sharded store that failed part-way can leave fragments on different
+  // grids; they are rebuilt together rather than appended to.
+  const bool same_grid =
+      std::all_of(parts.begin(), parts.end(), [&](const array::Array& part) {
+        return part.dims() == parts[0].dims();
+      });
+  std::optional<int64_t> length;
+  if (same_grid) length = HistoryLengthAfterAppend(parts[0].dims(), rows, max_rows);
+  HistoryWrite how = HistoryWrite::kAppended;
+  if (length) {
+    // Append: route each row to the part owning its coordinate, grow
+    // hist_seq on every part (their dimensions stay identical), and write
+    // only the new cells. Untouched chunks stay shared with the store.
+    std::vector<relational::Table> routed(static_cast<size_t>(shards),
+                                          relational::Table(rows.schema()));
+    if (placement.sharded()) {
+      BIGDAWG_ASSIGN_OR_RETURN(size_t key, rows.schema().Resolve(placement.key));
+      if (rows.schema().field(key).type != DataType::kInt64) {
+        return Status::Internal("history partition key " + placement.key +
+                                " is not a dimension");
       }
+      for (const Row& row : rows.rows()) {
+        const int shard = std::min(
+            RangeShardOf(row[key].int64_unchecked(), placement.range_splits),
+            shards - 1);
+        routed[static_cast<size_t>(shard)].AppendUnchecked(row);
+      }
+    } else {
+      routed[0] = rows;
     }
-    for (int i = 0; i < placement->shard_count; ++i) {
-      BIGDAWG_RETURN_NOT_OK(StoreFragment(
-          i, ShardFragmentName(snap.location.native_name, placement->epoch, i),
-          frags[static_cast<size_t>(i)]));
+    for (int i = 0; i < shards; ++i) {
+      array::Array& part = parts[static_cast<size_t>(i)];
+      BIGDAWG_RETURN_NOT_OK(part.GrowDim(0, *length));
+      BIGDAWG_RETURN_NOT_OK(SetTableCells(routed[static_cast<size_t>(i)], &part));
     }
-    return catalog_.MarkPrimaryWritten(object);
+  } else {
+    how = HistoryWrite::kRebuilt;
+    BIGDAWG_ASSIGN_OR_RETURN(array::Array built, BuildHistory(parts, rows, max_rows));
+    if (placement.sharded()) {
+      BIGDAWG_ASSIGN_OR_RETURN(parts, PartitionArray(built, placement));
+    } else {
+      parts = {std::move(built)};
+    }
   }
-  // Writes never fail over — a down array engine fails the store (the
-  // age-out pipeline keeps the rows pending and retries).
-  BIGDAWG_RETURN_NOT_OK(CheckEngine(kEngineSciDb));
-  BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
-  BIGDAWG_RETURN_NOT_OK(array_.PutArray(object, std::move(a)));
-  if (catalog_.Lookup(object).ok()) {
-    // Existing history object: bump its version so the cast cache drops
-    // every pre-flush entry.
-    return catalog_.MarkPrimaryWritten(object);
+
+  for (int i = 0; i < shards; ++i) {
+    array::Array& part = parts[static_cast<size_t>(i)];
+    if (placement.sharded()) {
+      BIGDAWG_RETURN_NOT_OK(
+          StoreFragment(i, ShardFragmentName(native, placement.epoch, i), part));
+    } else {
+      BIGDAWG_RETURN_NOT_OK(array_.PutArray(native, std::move(part)));
+    }
   }
-  return catalog_.Register({object, kEngineSciDb, object});
+  // Bump the version so the cast cache drops every pre-flush entry.
+  BIGDAWG_RETURN_NOT_OK(catalog_.MarkPrimaryWritten(object));
+  return how;
 }
 
 Result<int64_t> BigDawg::ApplyMigrations() {

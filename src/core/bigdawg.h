@@ -30,6 +30,7 @@ namespace bigdawg::core {
 
 class StreamAgeOut;
 struct StreamAgeOutConfig;
+enum class HistoryWrite : int;
 
 /// One CAST site a query would perform, discovered by PlanCasts without
 /// executing anything. Steps appear in execution order: a CAST nested
@@ -214,12 +215,20 @@ class BigDawg {
   /// The installed pipeline, or null when not enabled.
   StreamAgeOut* stream_ageout() { return stream_ageout_.get(); }
 
-  /// Stores a relation as `object` on the array engine and registers it
-  /// in the catalog (bumping the version when it already exists). The
-  /// age-out pipeline's store primitive; goes through the fault plane
-  /// like every other engine write.
+  /// Adds a relation in the history schema (`hist_seq` first, see
+  /// stream_ageout.h) to the array-engine object `object`: the first call
+  /// builds and registers it, later calls append onto a snapshot of the
+  /// stored array and bump the catalog version. The age-out pipeline's
+  /// store primitive; goes through the fault plane like every other
+  /// engine write, and a failed call leaves the stored object unchanged.
   Status StoreStreamHistory(const std::string& object,
                             const relational::Table& table);
+  /// As above, keeping only the last `max_rows` sequence numbers, and
+  /// reporting whether the write created, appended to or rebuilt the
+  /// history.
+  Result<HistoryWrite> StoreStreamHistory(const std::string& object,
+                                          const relational::Table& rows,
+                                          size_t max_rows);
 
  private:
   /// Stores a relation under `object` in the target model. When

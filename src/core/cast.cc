@@ -47,22 +47,49 @@ const char* DataModelNameForEngine(const std::string& engine) {
   return "relation";
 }
 
-Result<array::Array> TableToArray(const relational::Table& table,
-                                  int64_t chunk_length) {
-  std::vector<size_t> dim_cols;
-  std::vector<size_t> attr_cols;
-  for (size_t i = 0; i < table.schema().num_fields(); ++i) {
-    const Field& f = table.schema().field(i);
+namespace {
+
+/// Splits a relation's columns into int64 dimensions and double
+/// attributes (each in schema order); TypeError for any other type.
+Status SplitArrayColumns(const Schema& schema, std::vector<size_t>* dim_cols,
+                         std::vector<size_t>* attr_cols) {
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    const Field& f = schema.field(i);
     if (f.type == DataType::kInt64) {
-      dim_cols.push_back(i);
+      dim_cols->push_back(i);
     } else if (f.type == DataType::kDouble) {
-      attr_cols.push_back(i);
+      attr_cols->push_back(i);
     } else {
       return Status::TypeError("column '" + f.name +
                                "' is neither int64 (dimension) nor double "
                                "(attribute); CAST to array unsupported");
     }
   }
+  return Status::OK();
+}
+
+/// The dimension columns as shared slices; InvalidArgument on a NULL.
+Result<std::vector<common::ColumnView>> DimensionViews(
+    const relational::Table& table, const std::vector<size_t>& dim_cols) {
+  std::vector<common::ColumnView> views;
+  views.reserve(dim_cols.size());
+  for (size_t c : dim_cols) {
+    views.push_back(table.ColumnAt(c));
+    if (views.back().null_count() > 0) {
+      return Status::InvalidArgument("NULL in dimension column '" +
+                                     table.schema().field(c).name + "'");
+    }
+  }
+  return views;
+}
+
+}  // namespace
+
+Result<array::Array> TableToArray(const relational::Table& table,
+                                  int64_t chunk_length, size_t growable_dims) {
+  std::vector<size_t> dim_cols;
+  std::vector<size_t> attr_cols;
+  BIGDAWG_RETURN_NOT_OK(SplitArrayColumns(table.schema(), &dim_cols, &attr_cols));
   if (dim_cols.empty()) {
     return Status::FailedPrecondition("relation has no int64 dimension column");
   }
@@ -76,41 +103,58 @@ Result<array::Array> TableToArray(const relational::Table& table,
   if (n == 0) {
     return Status::FailedPrecondition("cannot CAST an empty relation to array");
   }
-  std::vector<common::ColumnView> dim_views;
-  dim_views.reserve(dim_cols.size());
-  for (size_t c : dim_cols) dim_views.push_back(table.ColumnAt(c));
-  std::vector<int64_t> lo(dim_cols.size(), 0), hi(dim_cols.size(), 0);
-  for (size_t d = 0; d < dim_cols.size(); ++d) {
-    const common::ColumnView& view = dim_views[d];
-    if (view.null_count() > 0) {
-      return Status::InvalidArgument("NULL in dimension column '" +
-                                     table.schema().field(dim_cols[d]).name +
-                                     "'");
-    }
-    lo[d] = hi[d] = view[0].int64_unchecked();
-    for (size_t r = 1; r < n; ++r) {
-      int64_t coord = view[r].int64_unchecked();
-      lo[d] = std::min(lo[d], coord);
-      hi[d] = std::max(hi[d], coord);
-    }
-  }
-
+  BIGDAWG_ASSIGN_OR_RETURN(std::vector<common::ColumnView> dim_views,
+                           DimensionViews(table, dim_cols));
   std::vector<array::Dimension> dims;
   for (size_t d = 0; d < dim_cols.size(); ++d) {
-    dims.emplace_back(table.schema().field(dim_cols[d]).name, lo[d],
-                      hi[d] - lo[d] + 1, chunk_length);
+    const common::ColumnView& view = dim_views[d];
+    int64_t lo = view[0].int64_unchecked();
+    int64_t hi = lo;
+    for (size_t r = 1; r < n; ++r) {
+      int64_t coord = view[r].int64_unchecked();
+      lo = std::min(lo, coord);
+      hi = std::max(hi, coord);
+    }
+    // A dimension shorter than a chunk gets one chunk exactly its length:
+    // same cell order, without allocating the cells past its end.
+    const int64_t extent = hi - lo + 1;
+    dims.emplace_back(table.schema().field(dim_cols[d]).name, lo, extent,
+                      d < growable_dims ? chunk_length
+                                        : std::min(chunk_length, extent));
   }
   std::vector<std::string> attrs;
   for (size_t a : attr_cols) attrs.push_back(table.schema().field(a).name);
 
   BIGDAWG_ASSIGN_OR_RETURN(array::Array out,
                            array::Array::Create(std::move(dims), std::move(attrs)));
+  BIGDAWG_RETURN_NOT_OK(SetTableCells(table, &out));
+  return out;
+}
+
+Status SetTableCells(const relational::Table& table, array::Array* out) {
+  std::vector<size_t> dim_cols;
+  std::vector<size_t> attr_cols;
+  BIGDAWG_RETURN_NOT_OK(SplitArrayColumns(table.schema(), &dim_cols, &attr_cols));
+  bool same_shape = dim_cols.size() == out->num_dims() &&
+                    attr_cols.size() == out->num_attrs();
+  for (size_t d = 0; same_shape && d < dim_cols.size(); ++d) {
+    same_shape = table.schema().field(dim_cols[d]).name == out->dims()[d].name;
+  }
+  for (size_t a = 0; same_shape && a < attr_cols.size(); ++a) {
+    same_shape = table.schema().field(attr_cols[a]).name == out->attrs()[a];
+  }
+  if (!same_shape) {
+    return Status::InvalidArgument(
+        "relation columns do not match the array's dimensions and attributes");
+  }
+  BIGDAWG_ASSIGN_OR_RETURN(std::vector<common::ColumnView> dim_views,
+                           DimensionViews(table, dim_cols));
   std::vector<common::ColumnView> attr_views;
   attr_views.reserve(attr_cols.size());
   for (size_t c : attr_cols) attr_views.push_back(table.ColumnAt(c));
   array::Coordinates coords(dim_cols.size());
   std::vector<double> values(attr_cols.size());
-  for (size_t r = 0; r < n; ++r) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t d = 0; d < dim_cols.size(); ++d) {
       coords[d] = dim_views[d][r].int64_unchecked();
     }
@@ -118,9 +162,9 @@ Result<array::Array> TableToArray(const relational::Table& table,
       const common::ColumnView& view = attr_views[a];
       values[a] = view.IsNull(r) ? 0.0 : view[r].double_unchecked();
     }
-    BIGDAWG_RETURN_NOT_OK(out.Set(coords, values));
+    BIGDAWG_RETURN_NOT_OK(out->Set(coords, values));
   }
-  return out;
+  return Status::OK();
 }
 
 Result<relational::Table> ArrayToTable(const array::Array& array) {

@@ -32,10 +32,23 @@ const char* DataModelNameForEngine(const std::string& engine);
 /// \brief Relation -> array. Integer columns become dimensions (in schema
 /// order), numeric columns become attributes. Requires >= 1 int64 column
 /// and >= 1 double column; rows with NULL dimension cells are rejected.
-/// Dimension ranges are derived from the data; `chunk_length` applies to
-/// every dimension.
+/// Dimension ranges are derived from the data. Each dimension's chunk
+/// length is `chunk_length` clamped to its extent (hi - lo + 1), so a
+/// dimension holding 4 values gets 4-cell chunks, not 256-cell ones; the
+/// cell order is the same either way. The leading `growable_dims`
+/// dimensions keep the full `chunk_length`, so the array can later grow
+/// along them (Array::GrowDim) without re-chunking any cell.
 Result<array::Array> TableToArray(const relational::Table& table,
-                                  int64_t chunk_length = 256);
+                                  int64_t chunk_length = 256,
+                                  size_t growable_dims = 0);
+
+/// Writes every row of `table` into `out` as one cell, with TableToArray's
+/// column mapping: int64 columns are coordinates and double columns
+/// attribute values, each in schema order, NULL attributes read as 0.
+/// InvalidArgument unless those columns are named like `out`'s dimensions
+/// and attributes; OutOfRange for a row outside `out`'s box (earlier rows
+/// stay written).
+Status SetTableCells(const relational::Table& table, array::Array* out);
 
 /// \brief Array -> relation: one row per non-empty cell, dimensions first
 /// (int64), then attributes (double).

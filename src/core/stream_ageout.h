@@ -5,13 +5,16 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "array/array.h"
 #include "common/result.h"
 #include "common/schema.h"
 #include "common/value.h"
 #include "obs/metrics.h"
+#include "relational/table.h"
 
 namespace bigdawg::core {
 
@@ -23,9 +26,9 @@ struct StreamAgeOutConfig {
   /// array engine. Batching amortizes the cross-model store; 1 flushes
   /// every row (useful in tests).
   size_t flush_rows = 1024;
-  /// Cap on history rows kept per stream; oldest rows beyond the cap are
-  /// discarded at flush time (the history object is a bounded archive,
-  /// not an unbounded log).
+  /// Cap on history rows kept per stream (> 0); oldest rows beyond the
+  /// cap are discarded at flush time (the history object is a bounded
+  /// archive, not an unbounded log).
   size_t max_history_rows = 1 << 20;
   /// History objects are named `<stream><suffix>` in the catalog.
   std::string suffix = "__history";
@@ -37,12 +40,45 @@ struct StreamAgeOutConfig {
 /// repeat) and the archive stays in age-out order.
 inline constexpr char kHistorySeqColumn[] = "hist_seq";
 
+/// Chunk length along hist_seq. Fixed when a history is built, so every
+/// later flush appends onto the same grid instead of re-chunking it.
+inline constexpr int64_t kHistoryChunkLength = 256;
+
+/// \brief How one flush landed in the stored history object.
+enum class HistoryWrite : int {
+  kCreated,   ///< the first flush built the history object
+  kAppended,  ///< new cells were written onto a snapshot of the stored grid
+  kRebuilt,   ///< a new payload coordinate, the row cap, or sharded
+              ///< fragments left on different grids forced a rebuild
+};
+
+/// The history array holding the cells of every `stored` part (none at
+/// the first flush; a sharded history's fragments otherwise) plus `rows`,
+/// a relation in the history schema (kHistorySeqColumn first). Only the
+/// last `max_rows` sequence numbers are kept. The grid is laid out here:
+/// hist_seq gets kHistoryChunkLength-cell chunks, payload dimensions are
+/// clamped to their extent. The first flush and every rebuild are this
+/// one function. FailedPrecondition when a stored part is not shaped like
+/// `rows`.
+Result<array::Array> BuildHistory(const std::vector<array::Array>& stored,
+                                  const relational::Table& rows, size_t max_rows);
+
+/// The hist_seq length a history with dimensions `dims` has after `rows`
+/// are appended onto its grid, or nullopt when they do not fit and the
+/// history must be rebuilt: a payload coordinate outside its dimension, a
+/// sequence number before the start, or more than `max_rows` sequence
+/// numbers in all.
+std::optional<int64_t> HistoryLengthAfterAppend(
+    const std::vector<array::Dimension>& dims, const relational::Table& rows,
+    size_t max_rows);
+
 /// \brief Counters describing the pipeline's progress.
 struct StreamAgeOutStats {
   int64_t pending_rows = 0;   ///< aged-out rows awaiting a flush
   int64_t flushed_rows = 0;   ///< rows durably stored in the array engine
   int64_t flushes = 0;        ///< successful store operations
   int64_t flush_failures = 0; ///< failed stores (rows stay pending)
+  int64_t rebuilds = 0;       ///< flushes that rebuilt instead of appending
 };
 
 /// \brief The paper's waveform lifecycle, automated: hot recent tuples
@@ -58,9 +94,14 @@ struct StreamAgeOutStats {
 /// them pending for the next attempt — nothing is dropped and nothing is
 /// double-appended.
 ///
-/// Each flush rewrites the history object and bumps its catalog version
-/// (MarkObjectWritten), so the cast-result cache can never serve
-/// pre-flush bytes at a post-flush version.
+/// A flush costs O(pending rows): it appends the pending cells onto a
+/// copy-on-write snapshot of the stored history array and swaps the
+/// handle in, so only the chunks it writes are copied. The grid is fixed
+/// when the history is built; a pending row outside a payload dimension
+/// (a new patient id) or a trim to max_history_rows rebuilds it once
+/// (BuildHistory), counted in `rebuilds`. Each flush bumps the history
+/// object's catalog version (MarkObjectWritten), so the cast-result cache
+/// can never serve pre-flush bytes at a post-flush version.
 ///
 /// Threading: OnAgeOut runs on the stream engine's executor thread with
 /// the engine's state lock held, so this class never calls back into the
@@ -93,15 +134,13 @@ class StreamAgeOut {
     Schema schema;
     /// Next hist_seq value; stamped onto rows as they age out.
     int64_t next_seq = 0;
-    /// Rows already stored in the array engine (the committed archive,
-    /// bounded by max_history_rows).
-    std::vector<Row> history;
-    /// Aged-out rows not yet stored; survive failed flushes.
+    /// Aged-out rows not yet stored; survive failed flushes. The archive
+    /// itself lives only in the array engine.
     std::vector<Row> pending;
   };
 
-  /// Stores history+pending as the stream's history object; commits the
-  /// pending rows into history only on success. Caller holds mu_.
+  /// Adds the pending rows to the stream's history object; clears them
+  /// only on success. Caller holds mu_.
   Status FlushLocked(const std::string& stream, PerStream& ps);
 
   BigDawg* dawg_;
@@ -113,6 +152,7 @@ class StreamAgeOut {
   std::atomic<int64_t> flushed_rows_{0};
   std::atomic<int64_t> flushes_{0};
   std::atomic<int64_t> flush_failures_{0};
+  std::atomic<int64_t> rebuilds_{0};
 };
 
 }  // namespace bigdawg::core

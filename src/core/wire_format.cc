@@ -219,6 +219,17 @@ Result<array::Array> DecodeArray(const std::string& wire) {
   BIGDAWG_ASSIGN_OR_RETURN(array::Array out,
                            array::Array::Create(std::move(dims),
                                                 std::move(attrs)));
+  // The first Set allocates one dense chunk of chunk volume x attributes
+  // doubles; bound it before any cell is read.
+  int64_t chunk_values = static_cast<int64_t>(out.num_attrs());
+  for (const array::Dimension& d : out.dims()) {
+    if (__builtin_mul_overflow(chunk_values, d.chunk_length, &chunk_values) ||
+        chunk_values > kMaxDecodedChunkValues) {
+      return Status::InvalidArgument("array frame chunk exceeds " +
+                                     std::to_string(kMaxDecodedChunkValues) +
+                                     " values");
+    }
+  }
   BIGDAWG_ASSIGN_OR_RETURN(uint64_t cells, reader.GetVarint64());
   array::Coordinates coords(num_dims);
   std::vector<double> values(num_attrs);

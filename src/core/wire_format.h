@@ -1,6 +1,7 @@
 #ifndef BIGDAWG_CORE_WIRE_FORMAT_H_
 #define BIGDAWG_CORE_WIRE_FORMAT_H_
 
+#include <cstdint>
 #include <string>
 
 #include "array/array.h"
@@ -39,7 +40,15 @@ namespace bigdawg::core {
 std::string EncodeTable(const relational::Table& table);
 Result<relational::Table> DecodeTable(const std::string& wire);
 
+/// Largest dense chunk, in values (chunk volume x attributes), that
+/// DecodeArray allocates. Eight times the largest chunk the polystore
+/// builds itself (a 3-D TableToArray at 256^3 cells), so a frame whose
+/// chunk_length would exhaust memory fails typed instead.
+inline constexpr int64_t kMaxDecodedChunkValues = int64_t{1} << 27;
+
 std::string EncodeArray(const array::Array& array);
+/// InvalidArgument for a malformed frame, including one whose chunk
+/// volume x attributes overflows int64 or exceeds kMaxDecodedChunkValues.
 Result<array::Array> DecodeArray(const std::string& wire);
 
 std::string EncodeAssoc(const d4m::AssocArray& assoc);

@@ -133,6 +133,71 @@ TEST_P(CastRoundTripSweep, AssocTransposeRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CastRoundTripSweep,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99999u));
 
+// TableToArray clamps each dimension's chunk length to its extent. The
+// oracle: the same cells Set, row by row, into an array whose every
+// dimension keeps the full chunk length must read back identically — same
+// cells, same Scan order — from at least as many bytes.
+class ChunkClampOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChunkClampOracle, ClampedGridReadsLikeTheFullGrid) {
+  Rng rng(GetParam());
+  const size_t num_dims = 1 + GetParam() % 3;
+  // A full 3-D chunk at 256 is 2^24 cells per attribute, too large for
+  // the reference array, so the 3-D cases probe around a 16-cell chunk.
+  const int64_t chunk = num_dims == 3 ? 16 : 256;
+  std::vector<Field> fields;
+  std::vector<int64_t> lo(num_dims), extent(num_dims);
+  for (size_t d = 0; d < num_dims; ++d) {
+    fields.emplace_back("d" + std::to_string(d), DataType::kInt64);
+    lo[d] = rng.NextInt(-1000, 1000);
+    // Extents straddle the chunk length: well below, at, just past, and
+    // a few chunks long.
+    const int64_t choices[] = {1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 5};
+    extent[d] = choices[rng.NextBelow(6)];
+  }
+  fields.emplace_back("a", DataType::kDouble);
+  fields.emplace_back("b", DataType::kDouble);
+  relational::Table t{Schema(std::move(fields))};
+  for (int64_t r = 0; r < 400; ++r) {
+    Row row;
+    for (size_t d = 0; d < num_dims; ++d) {
+      // Rows 0 and 1 pin each dimension's bounds; the rest fall inside.
+      const int64_t offset = r == 0 ? 0
+                             : r == 1 ? extent[d] - 1
+                                      : rng.NextInt(0, extent[d] - 1);
+      row.emplace_back(lo[d] + offset);
+    }
+    for (int a = 0; a < 2; ++a) {
+      row.push_back(rng.NextBool(0.2) ? Value::Null() : Value(rng.NextGaussian()));
+    }
+    t.AppendUnchecked(std::move(row));
+  }
+
+  array::Array clamped = *TableToArray(t, chunk);
+  std::vector<array::Dimension> full_dims;
+  for (size_t d = 0; d < num_dims; ++d) {
+    EXPECT_EQ(clamped.dims()[d].chunk_length, std::min(chunk, extent[d]));
+    full_dims.emplace_back("d" + std::to_string(d), lo[d], extent[d], chunk);
+  }
+  array::Array full = *array::Array::Create(full_dims, {"a", "b"});
+  for (const Row& row : t.rows()) {
+    array::Coordinates coords;
+    for (size_t d = 0; d < num_dims; ++d) coords.push_back(row[d].int64_unchecked());
+    std::vector<double> values;
+    for (size_t a = num_dims; a < row.size(); ++a) {
+      values.push_back(row[a].is_null() ? 0.0 : row[a].double_unchecked());
+    }
+    BIGDAWG_CHECK_OK(full.Set(coords, values));
+  }
+  // ArrayToTable emits cells in Scan order, so equal encodings mean equal
+  // cells in the same order.
+  EXPECT_EQ(EncodeTable(*ArrayToTable(clamped)), EncodeTable(*ArrayToTable(full)));
+  EXPECT_LE(clamped.ByteSize(), full.ByteSize());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChunkClampOracle,
+                         ::testing::Range(uint64_t{1}, uint64_t{13}));
+
 TEST(StreamLogSerializationTest, RoundTrip) {
   std::vector<stream::LogRecord> log;
   log.push_back({"proc_a", {Value(1), Value(2.5), Value("x")}});

@@ -204,6 +204,32 @@ TEST(WireRoundTripTest, CorruptFramesFailTyped) {
   common::PutVarint64(&many_attrs, 4);
   common::PutVarint64(&many_attrs, uint64_t{1} << 60);
   EXPECT_TRUE(DecodeArray(many_attrs).status().IsInvalidArgument());
+
+  // One cell whose chunk would be huge: a chunk_length of 2^40 (or chunk
+  // volume x attributes past int64) is rejected before the chunk is
+  // allocated, not thrown as bad_alloc.
+  auto one_cell = [&](uint64_t chunk_length, int dims) {
+    std::string frame = header(2);
+    common::PutVarint64(&frame, static_cast<uint64_t>(dims));
+    for (int d = 0; d < dims; ++d) {
+      common::PutLengthPrefixed(&frame, "d" + std::to_string(d));
+      common::PutVarintSigned(&frame, 0);
+      common::PutVarint64(&frame, 1);
+      common::PutVarint64(&frame, chunk_length);
+    }
+    common::PutVarint64(&frame, 1);
+    common::PutLengthPrefixed(&frame, "v");
+    common::PutVarint64(&frame, 1);
+    for (int d = 0; d < dims; ++d) common::PutVarintSigned(&frame, 0);
+    common::PutDouble(&frame, 1.0);
+    return frame;
+  };
+  EXPECT_TRUE(DecodeArray(one_cell(uint64_t{1} << 40, 1)).status().IsInvalidArgument());
+  EXPECT_TRUE(DecodeArray(one_cell(uint64_t{1} << 32, 2)).status().IsInvalidArgument());
+  EXPECT_TRUE(DecodeArray(one_cell(uint64_t{1} << 62, 3)).status().IsInvalidArgument());
+  // The same frame at an ordinary chunk length decodes.
+  array::Array small = *DecodeArray(one_cell(256, 3));
+  EXPECT_EQ(small.NonEmptyCount(), 1);
 }
 
 }  // namespace

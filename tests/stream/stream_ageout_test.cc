@@ -12,7 +12,9 @@
 #include "common/macros.h"
 #include "core/bigdawg.h"
 #include "core/stream_ageout.h"
+#include "core/wire_format.h"
 #include "obs/clock.h"
+#include "obs/metrics.h"
 
 namespace bigdawg::core {
 namespace {
@@ -160,6 +162,239 @@ TEST(StreamAgeOutTest, AttachValidatesConfig) {
   BIGDAWG_CHECK_OK(dawg.EnableStreamAgeOut());
   dawg.stream_ageout()->OnAgeOut("ghost", {Value(1), Value(2.0)});
   EXPECT_EQ(dawg.stream_ageout()->GetStats().pending_rows, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Append-path oracle: rows are handed to OnAgeOut directly, so the test
+// knows every aged row and its hist_seq. After every flush the stored
+// history must hold exactly the cells a full rebuild from the kept aged
+// rows holds, in the same Scan order.
+// ---------------------------------------------------------------------------
+
+class HistoryOracle {
+ public:
+  explicit HistoryOracle(StreamAgeOutConfig config) {
+    BIGDAWG_CHECK_OK(dawg_.sstore().CreateStream("vitals", VitalsSchema(), 16));
+    max_rows_ = config.max_history_rows;
+    BIGDAWG_CHECK_OK(dawg_.EnableStreamAgeOut(config));
+  }
+
+  BigDawg& dawg() { return dawg_; }
+  StreamAgeOut& ageout() { return *dawg_.stream_ageout(); }
+
+  /// Ages out one row; the pipeline stamps it with the next hist_seq.
+  void Age(int64_t patient, double hr) {
+    aged_.push_back({Value(static_cast<int64_t>(aged_.size())), Value(patient),
+                     Value(hr)});
+    ageout().OnAgeOut("vitals", {Value(patient), Value(hr)});
+  }
+
+  /// The history a full rebuild from the last `max_rows_` flushed rows
+  /// would store.
+  array::Array Rebuilt() {
+    const size_t flushed = static_cast<size_t>(ageout_stats().flushed_rows);
+    const size_t first = flushed > max_rows_ ? flushed - max_rows_ : 0;
+    relational::Table all{Schema({Field(kHistorySeqColumn, DataType::kInt64),
+                                  Field("patient_id", DataType::kInt64),
+                                  Field("hr", DataType::kDouble)})};
+    for (size_t i = first; i < flushed; ++i) all.AppendUnchecked(aged_[i]);
+    return *TableToArray(all);
+  }
+
+  /// The stored history (gathered when sharded) against Rebuilt().
+  void ExpectMatchesRebuild() {
+    array::Array stored = *dawg_.FetchAsArray("vitals__history");
+    array::Array rebuilt = Rebuilt();
+    ASSERT_EQ(stored.num_dims(), rebuilt.num_dims());
+    for (size_t d = 0; d < stored.num_dims(); ++d) {
+      EXPECT_EQ(stored.dims()[d].start, rebuilt.dims()[d].start) << d;
+      EXPECT_EQ(stored.dims()[d].length, rebuilt.dims()[d].length) << d;
+    }
+    EXPECT_EQ(EncodeTable(*ArrayToTable(stored)), EncodeTable(*ArrayToTable(rebuilt)));
+    EXPECT_EQ(stored.NonEmptyCount(), rebuilt.NonEmptyCount());
+  }
+
+  StreamAgeOutStats ageout_stats() { return ageout().GetStats(); }
+
+ private:
+  BigDawg dawg_;
+  size_t max_rows_ = 0;
+  std::vector<Row> aged_;
+};
+
+StreamAgeOutConfig FlushEvery(size_t rows) {
+  StreamAgeOutConfig config;
+  config.flush_rows = rows;
+  return config;
+}
+
+TEST(StreamAgeOutAppendTest, NewPatientAfterFirstFlushRebuildsOnce) {
+  HistoryOracle h(FlushEvery(200));
+  for (int i = 0; i < 600; ++i) h.Age(i % 4, 60.0 + i);
+  // Three flushes: the first builds the history, the next two append.
+  EXPECT_EQ(h.ageout_stats().flushes, 3);
+  EXPECT_EQ(h.ageout_stats().rebuilds, 0);
+  h.ExpectMatchesRebuild();
+
+  // Patient 9 lies outside the patient_id dimension: that flush rebuilds,
+  // and appends resume on the wider grid.
+  h.Age(9, 1.0);
+  for (int i = 0; i < 399; ++i) h.Age(i % 10, 70.0 + i);
+  EXPECT_EQ(h.ageout_stats().flushes, 5);
+  EXPECT_EQ(h.ageout_stats().rebuilds, 1);
+  h.ExpectMatchesRebuild();
+  for (int i = 0; i < 200; ++i) h.Age(i % 10, 80.0 + i);
+  EXPECT_EQ(h.ageout_stats().rebuilds, 1);
+  h.ExpectMatchesRebuild();
+
+  // The counter is on /metrics beside the other age-out gauges.
+  obs::MetricsRegistry registry;
+  h.ageout().ExportMetrics(&registry);
+  EXPECT_EQ(registry.GetGauge("bigdawg_stream_ageout_rebuilds_total")->Value(), 1.0);
+  EXPECT_EQ(registry.GetGauge("bigdawg_stream_ageout_flushes_total")->Value(), 6.0);
+}
+
+TEST(StreamAgeOutAppendTest, SmallFirstFlushKeepsTheSeqGridForAppends) {
+  HistoryOracle h(FlushEvery(100000));
+  for (int i = 0; i < 10; ++i) h.Age(i % 4, 60.0 + i);
+  BIGDAWG_CHECK_OK(h.ageout().FlushAll());
+  h.ExpectMatchesRebuild();
+  array::Array first = *h.dawg().scidb().GetArray("vitals__history");
+  // hist_seq keeps the full chunk; the 4-value patient_id is clamped.
+  EXPECT_EQ(first.dims()[0].chunk_length, kHistoryChunkLength);
+  EXPECT_EQ(first.dims()[1].chunk_length, 4);
+
+  for (int i = 0; i < 500; ++i) h.Age(i % 4, 70.0 + i);
+  BIGDAWG_CHECK_OK(h.ageout().FlushAll());
+  EXPECT_EQ(h.ageout_stats().rebuilds, 0);
+  h.ExpectMatchesRebuild();
+  array::Array grown = *h.dawg().scidb().GetArray("vitals__history");
+  EXPECT_EQ(grown.dims()[0].start, 0);
+  EXPECT_EQ(grown.dims()[0].length, 510);
+  EXPECT_EQ(grown.dims()[0].chunk_length, kHistoryChunkLength);
+  EXPECT_EQ(grown.NumChunks(), 2u);  // seq 0..255 and 256..509
+}
+
+TEST(StreamAgeOutAppendTest, MaxHistoryRowsTrimsByRebuilding) {
+  StreamAgeOutConfig config = FlushEvery(128);
+  config.max_history_rows = 300;
+  HistoryOracle h(config);
+  for (int i = 0; i < 256; ++i) h.Age(i % 4, 60.0 + i);
+  EXPECT_EQ(h.ageout_stats().rebuilds, 0);  // 256 rows fit under the cap
+  for (int i = 0; i < 744; ++i) h.Age(i % 4, 90.0 + i);
+  BIGDAWG_CHECK_OK(h.ageout().FlushAll());
+  EXPECT_GT(h.ageout_stats().rebuilds, 0);
+  EXPECT_EQ(h.ageout_stats().flushed_rows, 1000);
+  h.ExpectMatchesRebuild();
+  array::Array stored = *h.dawg().scidb().GetArray("vitals__history");
+  EXPECT_EQ(stored.NonEmptyCount(), 300);
+  EXPECT_EQ(stored.dims()[0].start, 700);
+}
+
+TEST(StreamAgeOutAppendTest, FailedFlushLeavesArchiveAndPendingUntouched) {
+  HistoryOracle h(FlushEvery(100));
+  for (int i = 0; i < 300; ++i) h.Age(i % 4, 60.0 + i);
+  const std::string before =
+      EncodeArray(*h.dawg().scidb().GetArray("vitals__history"));
+
+  h.dawg().fault_injector().Enable();
+  h.dawg().fault_injector().SetDown(kEngineSciDb, true);
+  for (int i = 0; i < 150; ++i) h.Age(i % 4, 70.0 + i);  // an append
+  h.Age(7, 1.0);                                          // and a rebuild
+  EXPECT_TRUE(h.ageout().FlushAll().IsUnavailable());
+  EXPECT_GT(h.ageout_stats().flush_failures, 0);
+  EXPECT_EQ(h.ageout_stats().pending_rows, 151);
+  EXPECT_EQ(h.ageout_stats().flushed_rows, 300);
+  h.dawg().fault_injector().SetDown(kEngineSciDb, false);
+  EXPECT_EQ(EncodeArray(*h.dawg().scidb().GetArray("vitals__history")), before);
+
+  // Recovery delivers the 151 rows exactly once.
+  BIGDAWG_CHECK_OK(h.ageout().FlushAll());
+  EXPECT_EQ(h.ageout_stats().pending_rows, 0);
+  EXPECT_EQ(h.ageout_stats().flushed_rows, 451);
+  h.ExpectMatchesRebuild();
+  BIGDAWG_CHECK_OK(h.ageout().FlushAll());
+  EXPECT_EQ(h.dawg().FetchAsArray("vitals__history")->NonEmptyCount(), 451);
+}
+
+TEST(StreamAgeOutAppendTest, SnapshotTakenBeforeAFlushNeverChanges) {
+  HistoryOracle h(FlushEvery(100));
+  for (int i = 0; i < 130; ++i) h.Age(i % 4, 60.0 + i);
+  // The stored array's last chunk is partly filled, so the next append
+  // writes into a chunk this snapshot shares.
+  array::Array snapshot = *h.dawg().scidb().GetArray("vitals__history");
+  const std::string before = EncodeArray(snapshot);
+  for (int i = 0; i < 100; ++i) h.Age(i % 4, 70.0 + i);  // append
+  EXPECT_EQ(EncodeArray(snapshot), before);
+  for (int i = 0; i < 100; ++i) h.Age(5 + i % 2, 80.0 + i);  // rebuild
+  EXPECT_EQ(h.ageout_stats().rebuilds, 1);
+  EXPECT_EQ(EncodeArray(snapshot), before);
+  EXPECT_EQ(snapshot.NonEmptyCount(), 100);
+  h.ExpectMatchesRebuild();
+}
+
+TEST(StreamAgeOutAppendTest, ShardedHistoryAppendsPerFragment) {
+  for (const std::string key : {"", "patient_id"}) {
+    SCOPED_TRACE("shard key '" + key + "'");
+    HistoryOracle h(FlushEvery(100));
+    for (int i = 0; i < 300; ++i) h.Age(i % 4, 60.0 + i);
+    BIGDAWG_CHECK_OK(h.dawg().ShardObject("vitals__history", 3, key));
+    for (int i = 0; i < 300; ++i) h.Age(i % 4, 70.0 + i);
+    EXPECT_EQ(h.ageout_stats().rebuilds, 0);
+    h.ExpectMatchesRebuild();
+
+    // A down shard instance defers the flush; the rows stay pending and
+    // land exactly once when it recovers.
+    h.dawg().fault_injector().Enable();
+    const std::string shard1 = ShardInstanceName(kEngineSciDb, 1);
+    h.dawg().fault_injector().SetDown(shard1, true);
+    for (int i = 0; i < 100; ++i) h.Age(i % 4, 80.0 + i);
+    EXPECT_EQ(h.ageout_stats().pending_rows, 100);
+    h.dawg().fault_injector().SetDown(shard1, false);
+
+    h.Age(8, 1.0);  // new patient: the fragments are rebuilt together
+    BIGDAWG_CHECK_OK(h.ageout().FlushAll());
+    EXPECT_EQ(h.ageout_stats().rebuilds, 1);
+    EXPECT_EQ(h.ageout_stats().flushed_rows, 701);
+    h.ExpectMatchesRebuild();
+    for (int i = 0; i < 200; ++i) h.Age(i % 9, 90.0 + i);
+    EXPECT_EQ(h.ageout_stats().rebuilds, 1);
+    h.ExpectMatchesRebuild();
+  }
+}
+
+TEST(StreamAgeOutAppendTest, ShardedRebuildFailingPartWayHealsOnRetry) {
+  HistoryOracle h(FlushEvery(100));
+  for (int i = 0; i < 300; ++i) h.Age(i % 4, 60.0 + i);
+  BIGDAWG_CHECK_OK(h.dawg().ShardObject("vitals__history", 3));
+  for (int i = 0; i < 99; ++i) h.Age(i % 4, 70.0 + i);
+
+  // A new patient forces a rebuild; shard 2's store (its second call)
+  // fails after shards 0 and 1 took the rebuilt fragments.
+  h.dawg().fault_injector().Enable();
+  h.dawg().fault_injector().Reset();
+  h.dawg().fault_injector().FailEveryNth(ShardInstanceName(kEngineSciDb, 2), 2);
+  h.Age(6, 1.0);
+  EXPECT_EQ(h.ageout_stats().flush_failures, 1);
+  EXPECT_EQ(h.ageout_stats().pending_rows, 100);
+
+  // The fragments now sit on different grids; the retry rebuilds them
+  // together and delivers the rows exactly once.
+  h.dawg().fault_injector().Reset();
+  BIGDAWG_CHECK_OK(h.ageout().FlushAll());
+  EXPECT_EQ(h.ageout_stats().rebuilds, 1);
+  EXPECT_EQ(h.ageout_stats().flushed_rows, 400);
+  h.ExpectMatchesRebuild();
+  for (int i = 0; i < 100; ++i) h.Age(i % 7, 80.0 + i);
+  EXPECT_EQ(h.ageout_stats().rebuilds, 1);
+  h.ExpectMatchesRebuild();
+}
+
+TEST(StreamAgeOutAppendTest, AttachRejectsAZeroHistoryCap) {
+  BigDawg dawg;
+  StreamAgeOutConfig config;
+  config.max_history_rows = 0;
+  EXPECT_TRUE(dawg.EnableStreamAgeOut(config).IsInvalidArgument());
 }
 
 }  // namespace
