@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks for the polystore's hot primitives:
-// expression evaluation, hash aggregation, array scans, KV range scans,
-// the binary CAST wire format, and FFT kernels. These are per-operation
+// expression evaluation, SQL scans/aggregates/joins/DISTINCT, Myria
+// iteration, array scans, KV range scans, the binary CAST wire format,
+// and FFT kernels. These are per-operation
 // numbers supporting the experiment-level benches.
 
 #include <benchmark/benchmark.h>
@@ -11,7 +12,9 @@
 #include "common/rng.h"
 #include "core/wire_format.h"
 #include "kvstore/kvstore.h"
+#include "myria/myria.h"
 #include "relational/database.h"
+#include "relational/executor.h"
 #include "relational/sql_parser.h"
 
 using namespace bigdawg;  // NOLINT
@@ -71,6 +74,73 @@ void BM_SqlHashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SqlHashJoin)->Arg(10000)->Arg(50000);
+
+// One SELECT through relational::ExecuteSelect over `table`, named "t";
+// the statement is parsed once, outside the timed loop.
+void RunSelect(benchmark::State& state, const relational::Table& table,
+               const std::string& sql) {
+  auto stmt = relational::ParseSql(sql);
+  BIGDAWG_CHECK(stmt.ok());
+  const auto& select = std::get<relational::SelectStatement>(*stmt);
+  relational::TableResolver resolver =
+      [&table](const std::string&) -> Result<const relational::Table*> { return &table; };
+  for (auto _ : state) {
+    auto result = relational::ExecuteSelect(select, resolver);
+    BIGDAWG_CHECK(result.ok());
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(table.num_rows()));
+}
+
+constexpr int64_t kScanRows = 250000;
+
+void BM_SqlCount(benchmark::State& state) {
+  RunSelect(state, MakeTable(kScanRows), "SELECT COUNT(*) AS n FROM t");
+}
+BENCHMARK(BM_SqlCount)->Unit(benchmark::kMillisecond);
+
+void BM_SqlFilteredSum(benchmark::State& state) {
+  RunSelect(state, MakeTable(kScanRows),
+            "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE v > 50");
+}
+BENCHMARK(BM_SqlFilteredSum)->Unit(benchmark::kMillisecond);
+
+void BM_SqlPoint(benchmark::State& state) {
+  RunSelect(state, MakeTable(kScanRows), "SELECT * FROM t WHERE id = 83333");
+}
+BENCHMARK(BM_SqlPoint)->Unit(benchmark::kMillisecond);
+
+// SELECT DISTINCT over 10^5 rows holding 10^4 distinct values.
+void BM_SqlDistinct(benchmark::State& state) {
+  relational::Table t{Schema({Field("k", DataType::kInt64)})};
+  for (int64_t i = 0; i < 100000; ++i) t.AppendUnchecked({Value(i % 10000)});
+  RunSelect(state, t, "SELECT DISTINCT k FROM t");
+}
+BENCHMARK(BM_SqlDistinct)->Unit(benchmark::kMillisecond);
+
+// Myria Iterate: transitive closure of an n-node chain (n(n-1)/2 pairs).
+void BM_MyriaChainClosure(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  relational::Table chain{Schema({Field("src", DataType::kInt64),
+                                  Field("dst", DataType::kInt64)})};
+  for (int64_t i = 0; i + 1 < n; ++i) chain.AppendUnchecked({Value(i), Value(i + 1)});
+  myria::PlanPtr plan = myria::Iterate(
+      myria::Scan("chain"),
+      myria::Project(
+          myria::Join(myria::Scan("$iter"), myria::Scan("chain"), "dst", "src"),
+          {"src", "right.dst"}, {"", "dst"}),
+      n);
+  myria::Resolver resolver = [&chain](const std::string&) -> Result<relational::Table> {
+    return chain;
+  };
+  for (auto _ : state) {
+    auto closure = myria::ExecutePlan(*plan, resolver, nullptr);
+    BIGDAWG_CHECK(closure.ok() &&
+                  closure->num_rows() == static_cast<size_t>(n * (n - 1) / 2));
+    benchmark::DoNotOptimize(closure);
+  }
+}
+BENCHMARK(BM_MyriaChainClosure)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_ArrayScan(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -23,18 +23,6 @@ std::string UnqualifiedTail(const std::string& name) {
   return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
-// Flattens an AND tree into conjuncts (borrowed pointers).
-void CollectAndConjuncts(const relational::Expr* expr,
-                         std::vector<const relational::Expr*>* out) {
-  const auto* bin = dynamic_cast<const relational::BinaryExpr*>(expr);
-  if (bin != nullptr && bin->op() == relational::BinaryOp::kAnd) {
-    CollectAndConjuncts(&bin->left(), out);
-    CollectAndConjuncts(&bin->right(), out);
-  } else {
-    out->push_back(expr);
-  }
-}
-
 // The single shard a point query can be pruned to, or -1 when the WHERE
 // clause does not pin the placement's hash key to one literal. A
 // `key = literal` conjunct means every qualifying row hashes to the
@@ -45,7 +33,7 @@ int PrunedShard(const relational::SelectStatement& stmt,
     return -1;
   }
   std::vector<const relational::Expr*> conjuncts;
-  CollectAndConjuncts(stmt.where.get(), &conjuncts);
+  relational::SplitConjuncts(stmt.where.get(), &conjuncts);
   for (const relational::Expr* conjunct : conjuncts) {
     const auto* bin = dynamic_cast<const relational::BinaryExpr*>(conjunct);
     if (bin == nullptr || bin->op() != relational::BinaryOp::kEq) continue;
@@ -609,106 +597,25 @@ Result<relational::Table> D4mIsland::ExecuteShardedRowSum(
 // MyriaIsland
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Extracts (left column, right column) from an equi-join condition.
-Result<std::pair<std::string, std::string>> EquiColumns(const relational::Expr& on) {
-  const auto* bin = dynamic_cast<const relational::BinaryExpr*>(&on);
-  if (bin == nullptr || bin->op() != relational::BinaryOp::kEq) {
-    return Status::NotImplemented(
-        "MYRIA island joins require a simple equality condition");
-  }
-  const auto* l = dynamic_cast<const relational::ColumnExpr*>(&bin->left());
-  const auto* r = dynamic_cast<const relational::ColumnExpr*>(&bin->right());
-  if (l == nullptr || r == nullptr) {
-    return Status::NotImplemented(
-        "MYRIA island joins require column = column conditions");
-  }
-  return std::make_pair(l->name(), r->name());
-}
-
-}  // namespace
-
 Result<relational::Table> MyriaIsland::Execute(const std::string& query) {
   BIGDAWG_ASSIGN_OR_RETURN(relational::Statement stmt, relational::ParseSql(query));
   auto* select = std::get_if<relational::SelectStatement>(&stmt);
   if (select == nullptr) {
     return Status::InvalidArgument("MYRIA island supports SELECT queries");
   }
-  if (!select->order_by.empty() || select->limit >= 0 || select->distinct) {
-    return Status::NotImplemented(
-        "MYRIA island subset: no ORDER BY / LIMIT / DISTINCT");
-  }
-  if (!select->from.alias.empty()) {
-    return Status::NotImplemented("MYRIA island subset: no table aliases");
-  }
+  BIGDAWG_ASSIGN_OR_RETURN(myria::PlanPtr plan, myria::LowerSelect(*select));
 
   // Stage every referenced base relation once; execution and the
   // optimizer's statistics both read from this materialization.
   std::map<std::string, relational::Table> staged;
-  auto stage = [this, &staged](const std::string& name) -> Status {
-    if (staged.count(name) > 0) return Status::OK();
+  std::vector<std::string> relations = {select->from.name};
+  for (const relational::JoinClause& join : select->joins) {
+    relations.push_back(join.table.name);
+  }
+  for (const std::string& name : relations) {
+    if (staged.count(name) > 0) continue;
     BIGDAWG_ASSIGN_OR_RETURN(relational::Table t, fetcher_(name));
     staged.emplace(name, std::move(t));
-    return Status::OK();
-  };
-  BIGDAWG_RETURN_NOT_OK(stage(select->from.name));
-  for (const relational::JoinClause& join : select->joins) {
-    if (!join.table.alias.empty()) {
-      return Status::NotImplemented("MYRIA island subset: no table aliases");
-    }
-    BIGDAWG_RETURN_NOT_OK(stage(join.table.name));
-  }
-
-  // Build the Myria plan: scans + joins, selection, aggregation/projection.
-  myria::PlanPtr plan = myria::Scan(select->from.name);
-  for (const relational::JoinClause& join : select->joins) {
-    BIGDAWG_ASSIGN_OR_RETURN(auto cols, EquiColumns(*join.on));
-    plan = myria::Join(std::move(plan), myria::Scan(join.table.name), cols.first,
-                       cols.second);
-  }
-  if (select->where != nullptr) {
-    plan = myria::Select(std::move(plan), select->where->Clone());
-  }
-  if (select->HasAggregates()) {
-    std::vector<myria::MyriaAgg> aggs;
-    std::vector<std::string> group = select->group_by;
-    for (const relational::SelectItem& item : select->items) {
-      if (item.agg == relational::AggregateFunc::kNone) continue;
-      myria::MyriaAgg agg;
-      agg.func = relational::AggregateFuncToString(item.agg);
-      if (!item.count_star) {
-        const auto* col = dynamic_cast<const relational::ColumnExpr*>(item.expr.get());
-        if (col == nullptr) {
-          return Status::NotImplemented(
-              "MYRIA island aggregates take plain columns");
-        }
-        agg.column = col->name();
-      }
-      agg.alias = item.alias;
-      aggs.push_back(std::move(agg));
-    }
-    plan = myria::Aggregate(std::move(plan), std::move(group), std::move(aggs));
-  } else {
-    bool star = false;
-    std::vector<std::string> columns;
-    std::vector<std::string> aliases;
-    for (const relational::SelectItem& item : select->items) {
-      if (item.is_star) {
-        star = true;
-        continue;
-      }
-      const auto* col = dynamic_cast<const relational::ColumnExpr*>(item.expr.get());
-      if (col == nullptr) {
-        return Status::NotImplemented(
-            "MYRIA island projections take plain columns (or *)");
-      }
-      columns.push_back(col->name());
-      aliases.push_back(item.alias);
-    }
-    if (!star && !columns.empty()) {
-      plan = myria::Project(std::move(plan), std::move(columns), std::move(aliases));
-    }
   }
 
   myria::CatalogStats stats;

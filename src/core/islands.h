@@ -192,9 +192,11 @@ class D4mIsland final : public Island {
   AssocFetcher fetcher_;
 };
 
-/// \brief The Myria island: SQL parsed into a Myria relational-algebra
-/// plan, run through Myria's optimizer, executed over shimmed engines.
-/// Iterative plans are available programmatically via myria::ExecutePlan.
+/// \brief The Myria island: SQL in the MYRIA dialect (myria::LowerSelect)
+/// lowered into the shared relational plan algebra, run through Myria's
+/// optimizer, and executed by the same operators as the RELATIONAL island
+/// over shimmed engines. Iterative plans are available programmatically
+/// via myria::Iterate and myria::ExecutePlan.
 class MyriaIsland final : public Island {
  public:
   MyriaIsland(EngineSet engines, Catalog* catalog, ObjectFetcher fetcher)

@@ -1,458 +1,119 @@
 #include "myria/myria.h"
 
 #include <algorithm>
-#include <set>
-#include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/macros.h"
 #include "common/string_util.h"
 
 namespace bigdawg::myria {
 
-namespace {
-constexpr char kIterRelation[] = "$iter";
-}
-
-PlanPtr PlanNode::Clone() const {
-  auto out = std::make_shared<PlanNode>();
-  out->kind = kind;
-  out->relation = relation;
-  out->predicate = predicate ? predicate->Clone() : nullptr;
-  out->columns = columns;
-  out->project_aliases = project_aliases;
-  out->left_column = left_column;
-  out->right_column = right_column;
-  out->group_by = group_by;
-  out->aggregates = aggregates;
-  out->max_iterations = max_iterations;
-  for (const PlanPtr& c : children) out->children.push_back(c->Clone());
-  return out;
-}
-
-std::string PlanNode::ToString(int indent) const {
-  std::ostringstream oss;
-  std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  oss << pad;
-  switch (kind) {
-    case OpKind::kScan:
-      oss << "Scan(" << relation << ")";
-      break;
-    case OpKind::kSelect:
-      oss << "Select(" << (predicate ? predicate->ToString() : "?") << ")";
-      break;
-    case OpKind::kProject:
-      oss << "Project(" << bigdawg::Join(columns, ", ") << ")";
-      break;
-    case OpKind::kJoin:
-      oss << "Join(" << left_column << " = " << right_column << ")";
-      break;
-    case OpKind::kAggregate: {
-      oss << "Aggregate(group=[" << bigdawg::Join(group_by, ", ") << "], aggs=[";
-      for (size_t i = 0; i < aggregates.size(); ++i) {
-        if (i > 0) oss << ", ";
-        oss << aggregates[i].func << "(" << aggregates[i].column << ")";
-      }
-      oss << "])";
-      break;
-    }
-    case OpKind::kIterate:
-      oss << "Iterate(max=" << max_iterations << ")";
-      break;
-  }
-  oss << "\n";
-  for (const PlanPtr& c : children) oss << c->ToString(indent + 1);
-  return oss.str();
-}
-
-PlanPtr Scan(std::string relation) {
-  auto n = std::make_shared<PlanNode>();
-  n->kind = OpKind::kScan;
-  n->relation = std::move(relation);
-  return n;
-}
-
-PlanPtr Select(PlanPtr child, ExprPtr predicate) {
-  auto n = std::make_shared<PlanNode>();
-  n->kind = OpKind::kSelect;
-  n->predicate = std::move(predicate);
-  n->children.push_back(std::move(child));
-  return n;
-}
-
 PlanPtr Project(PlanPtr child, std::vector<std::string> columns,
                 std::vector<std::string> aliases) {
-  auto n = std::make_shared<PlanNode>();
-  n->kind = OpKind::kProject;
-  n->columns = std::move(columns);
-  n->project_aliases = std::move(aliases);
-  n->children.push_back(std::move(child));
-  return n;
+  std::vector<ExprPtr> exprs;
+  for (std::string& c : columns) exprs.push_back(relational::Col(std::move(c)));
+  return relational::ProjectExprs(std::move(child), std::move(exprs), std::move(aliases));
 }
 
 PlanPtr Join(PlanPtr left, PlanPtr right, std::string left_column,
              std::string right_column) {
-  auto n = std::make_shared<PlanNode>();
-  n->kind = OpKind::kJoin;
+  PlanPtr n = relational::Join(std::move(left), std::move(right), nullptr);
   n->left_column = std::move(left_column);
   n->right_column = std::move(right_column);
-  n->children.push_back(std::move(left));
-  n->children.push_back(std::move(right));
   return n;
 }
 
 PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,
                   std::vector<MyriaAgg> aggregates) {
-  auto n = std::make_shared<PlanNode>();
-  n->kind = OpKind::kAggregate;
-  n->group_by = std::move(group_by);
-  n->aggregates = std::move(aggregates);
-  n->children.push_back(std::move(child));
-  return n;
-}
-
-PlanPtr Iterate(PlanPtr init, PlanPtr step, int64_t max_iterations) {
-  auto n = std::make_shared<PlanNode>();
-  n->kind = OpKind::kIterate;
-  n->max_iterations = max_iterations;
-  n->children.push_back(std::move(init));
-  n->children.push_back(std::move(step));
-  return n;
+  std::vector<relational::AggItem> items;
+  for (const std::string& g : group_by) items.push_back({"", relational::Col(g), ""});
+  for (const MyriaAgg& a : aggregates) {
+    const std::string func = ToLower(a.func);
+    ExprPtr arg =
+        func == "count" && a.column.empty() ? nullptr : relational::Col(a.column);
+    items.push_back(
+        {func, std::move(arg), a.alias.empty() ? func + "_" + a.column : a.alias});
+  }
+  return relational::Aggregate(std::move(child), std::move(group_by), std::move(items));
 }
 
 // ---------------------------------------------------------------------------
-// Execution
+// The MYRIA SQL dialect
 // ---------------------------------------------------------------------------
 
 namespace {
 
-Result<Table> ExecuteNode(const PlanNode& plan, const Resolver& resolver,
-                          ExecStats* stats);
-
-Result<Table> ExecuteSelectNode(const PlanNode& plan, const Resolver& resolver,
-                                ExecStats* stats) {
-  BIGDAWG_ASSIGN_OR_RETURN(Table input, ExecuteNode(*plan.children[0], resolver, stats));
-  ExprPtr pred = plan.predicate->Clone();
-  BIGDAWG_RETURN_NOT_OK(pred->Bind(input.schema()));
-  Table out(input.schema());
-  for (const Row& row : input.rows()) {
-    BIGDAWG_ASSIGN_OR_RETURN(Value v, pred->Eval(row));
-    if (!v.is_null() && v.type() == DataType::kBool && v.bool_unchecked()) {
-      out.AppendUnchecked(row);
-    }
+// Extracts (left column, right column) from an equi-join condition.
+Result<std::pair<std::string, std::string>> EquiColumns(const Expr& on) {
+  const auto* bin = dynamic_cast<const relational::BinaryExpr*>(&on);
+  if (bin == nullptr || bin->op() != relational::BinaryOp::kEq) {
+    return Status::NotImplemented(
+        "MYRIA island joins require a simple equality condition");
   }
-  return out;
-}
-
-Result<Table> ExecuteProjectNode(const PlanNode& plan, const Resolver& resolver,
-                                 ExecStats* stats) {
-  BIGDAWG_ASSIGN_OR_RETURN(Table input, ExecuteNode(*plan.children[0], resolver, stats));
-  if (!plan.project_aliases.empty() &&
-      plan.project_aliases.size() != plan.columns.size()) {
-    return Status::InvalidArgument("project aliases must parallel columns");
+  const auto* l = dynamic_cast<const relational::ColumnExpr*>(&bin->left());
+  const auto* r = dynamic_cast<const relational::ColumnExpr*>(&bin->right());
+  if (l == nullptr || r == nullptr) {
+    return Status::NotImplemented(
+        "MYRIA island joins require column = column conditions");
   }
-  std::vector<size_t> indices;
-  std::vector<Field> fields;
-  for (size_t i = 0; i < plan.columns.size(); ++i) {
-    BIGDAWG_ASSIGN_OR_RETURN(size_t idx, input.schema().Resolve(plan.columns[i]));
-    indices.push_back(idx);
-    Field field = input.schema().field(idx);
-    if (!plan.project_aliases.empty() && !plan.project_aliases[i].empty()) {
-      field.name = plan.project_aliases[i];
-    }
-    fields.push_back(std::move(field));
-  }
-  Table out{Schema(std::move(fields))};
-  for (const Row& row : input.rows()) {
-    Row projected;
-    projected.reserve(indices.size());
-    for (size_t idx : indices) projected.push_back(row[idx]);
-    out.AppendUnchecked(std::move(projected));
-  }
-  return out;
-}
-
-Result<Table> ExecuteJoinNode(const PlanNode& plan, const Resolver& resolver,
-                              ExecStats* stats) {
-  BIGDAWG_ASSIGN_OR_RETURN(Table left, ExecuteNode(*plan.children[0], resolver, stats));
-  BIGDAWG_ASSIGN_OR_RETURN(Table right, ExecuteNode(*plan.children[1], resolver, stats));
-  BIGDAWG_ASSIGN_OR_RETURN(size_t li, left.schema().Resolve(plan.left_column));
-  BIGDAWG_ASSIGN_OR_RETURN(size_t ri, right.schema().Resolve(plan.right_column));
-
-  Schema combined = left.schema().Concat(right.schema(), "right");
-  Table out(combined);
-  std::unordered_map<Value, std::vector<const Row*>, ValueHash> hash_table;
-  hash_table.reserve(right.num_rows());
-  for (const Row& r : right.rows()) {
-    if (r[ri].is_null()) continue;
-    hash_table[r[ri]].push_back(&r);
-  }
-  for (const Row& l : left.rows()) {
-    if (l[li].is_null()) continue;
-    auto it = hash_table.find(l[li]);
-    if (it == hash_table.end()) continue;
-    for (const Row* r : it->second) {
-      Row joined = l;
-      joined.insert(joined.end(), r->begin(), r->end());
-      out.AppendUnchecked(std::move(joined));
-    }
-  }
-  return out;
-}
-
-Result<Table> ExecuteAggregateNode(const PlanNode& plan, const Resolver& resolver,
-                                   ExecStats* stats) {
-  BIGDAWG_ASSIGN_OR_RETURN(Table input, ExecuteNode(*plan.children[0], resolver, stats));
-  std::vector<size_t> group_idx;
-  std::vector<Field> out_fields;
-  for (const std::string& g : plan.group_by) {
-    BIGDAWG_ASSIGN_OR_RETURN(size_t idx, input.schema().Resolve(g));
-    group_idx.push_back(idx);
-    out_fields.push_back(input.schema().field(idx));
-  }
-  struct AggSpec {
-    std::string func;
-    size_t column = 0;
-    bool count_all = false;
-  };
-  std::vector<AggSpec> specs;
-  for (const MyriaAgg& a : plan.aggregates) {
-    AggSpec spec;
-    spec.func = ToLower(a.func);
-    if (spec.func == "count" && a.column.empty()) {
-      spec.count_all = true;
-    } else {
-      BIGDAWG_ASSIGN_OR_RETURN(spec.column, input.schema().Resolve(a.column));
-    }
-    DataType out_type;
-    if (spec.func == "count") {
-      out_type = DataType::kInt64;
-    } else if (spec.func == "min" || spec.func == "max") {
-      out_type = spec.count_all ? DataType::kDouble
-                                : input.schema().field(spec.column).type;
-    } else if (spec.func == "sum" || spec.func == "avg") {
-      out_type = DataType::kDouble;
-    } else {
-      return Status::InvalidArgument("unknown aggregate: " + a.func);
-    }
-    std::string name = a.alias.empty() ? spec.func + "_" + a.column : a.alias;
-    out_fields.emplace_back(std::move(name), out_type);
-    specs.push_back(spec);
-  }
-
-  struct GroupState {
-    std::vector<int64_t> counts;
-    std::vector<double> sums;
-    std::vector<Value> mins;
-    std::vector<Value> maxs;
-    int64_t total = 0;
-  };
-  std::unordered_map<Row, GroupState, RowHash> groups;
-  std::vector<Row> order;
-  for (const Row& row : input.rows()) {
-    Row key;
-    key.reserve(group_idx.size());
-    for (size_t idx : group_idx) key.push_back(row[idx]);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      GroupState gs;
-      gs.counts.assign(specs.size(), 0);
-      gs.sums.assign(specs.size(), 0.0);
-      gs.mins.assign(specs.size(), Value());
-      gs.maxs.assign(specs.size(), Value());
-      it = groups.emplace(key, std::move(gs)).first;
-      order.push_back(key);
-    }
-    GroupState& gs = it->second;
-    ++gs.total;
-    for (size_t s = 0; s < specs.size(); ++s) {
-      if (specs[s].count_all) continue;
-      const Value& v = row[specs[s].column];
-      if (v.is_null()) continue;
-      ++gs.counts[s];
-      Result<double> num = v.ToNumeric();
-      if (num.ok()) gs.sums[s] += *num;
-      if (gs.mins[s].is_null() || v.Compare(gs.mins[s]) < 0) gs.mins[s] = v;
-      if (gs.maxs[s].is_null() || v.Compare(gs.maxs[s]) > 0) gs.maxs[s] = v;
-    }
-  }
-  if (plan.group_by.empty() && groups.empty()) {
-    GroupState gs;
-    gs.counts.assign(specs.size(), 0);
-    gs.sums.assign(specs.size(), 0.0);
-    gs.mins.assign(specs.size(), Value());
-    gs.maxs.assign(specs.size(), Value());
-    Row key;
-    groups.emplace(key, std::move(gs));
-    order.push_back(key);
-  }
-
-  Table out{Schema(std::move(out_fields))};
-  for (const Row& key : order) {
-    const GroupState& gs = groups.at(key);
-    Row row = key;
-    for (size_t s = 0; s < specs.size(); ++s) {
-      const AggSpec& spec = specs[s];
-      if (spec.func == "count") {
-        row.push_back(Value(spec.count_all ? gs.total : gs.counts[s]));
-      } else if (spec.func == "sum") {
-        row.push_back(gs.counts[s] == 0 ? Value::Null() : Value(gs.sums[s]));
-      } else if (spec.func == "avg") {
-        row.push_back(gs.counts[s] == 0
-                          ? Value::Null()
-                          : Value(gs.sums[s] / static_cast<double>(gs.counts[s])));
-      } else if (spec.func == "min") {
-        row.push_back(gs.mins[s]);
-      } else {
-        row.push_back(gs.maxs[s]);
-      }
-    }
-    out.AppendUnchecked(std::move(row));
-  }
-  return out;
-}
-
-// Deduplicates rows in place (first occurrence kept, order preserved).
-void DedupRows(std::vector<Row>* rows) {
-  std::unordered_set<size_t> seen_hashes;
-  std::vector<Row> out;
-  for (Row& row : *rows) {
-    size_t h = HashRow(row);
-    bool dup = false;
-    if (!seen_hashes.insert(h).second) {
-      for (const Row& kept : out) {
-        if (kept == row) {
-          dup = true;
-          break;
-        }
-      }
-    }
-    if (!dup) out.push_back(std::move(row));
-  }
-  *rows = std::move(out);
-}
-
-Result<Table> ExecuteIterateNode(const PlanNode& plan, const Resolver& resolver,
-                                 ExecStats* stats) {
-  BIGDAWG_ASSIGN_OR_RETURN(Table current,
-                           ExecuteNode(*plan.children[0], resolver, stats));
-  {
-    std::vector<Row> rows = current.rows();
-    DedupRows(&rows);
-    current = Table(current.schema(), std::move(rows));
-  }
-  for (int64_t iter = 0; iter < plan.max_iterations; ++iter) {
-    if (stats != nullptr) ++stats->iterations;
-    // Overlay resolver: "$iter" refers to the current result.
-    Resolver overlay = [&current, &resolver](const std::string& name) -> Result<Table> {
-      if (name == kIterRelation) return current;
-      return resolver(name);
-    };
-    BIGDAWG_ASSIGN_OR_RETURN(Table step, ExecuteNode(*plan.children[1], overlay, stats));
-    if (!(step.schema() == current.schema())) {
-      return Status::InvalidArgument(
-          "iterate step schema [" + step.schema().ToString() +
-          "] differs from init schema [" + current.schema().ToString() + "]");
-    }
-    std::vector<Row> merged = current.rows();
-    merged.insert(merged.end(), step.rows().begin(), step.rows().end());
-    DedupRows(&merged);
-    if (merged.size() == current.num_rows()) break;  // fixpoint
-    current = Table(current.schema(), std::move(merged));
-  }
-  return current;
-}
-
-Result<Table> ExecuteNode(const PlanNode& plan, const Resolver& resolver,
-                          ExecStats* stats) {
-  Result<Table> result = [&]() -> Result<Table> {
-    switch (plan.kind) {
-      case OpKind::kScan: {
-        BIGDAWG_ASSIGN_OR_RETURN(Table t, resolver(plan.relation));
-        if (stats != nullptr) stats->rows_scanned += static_cast<int64_t>(t.num_rows());
-        return t;
-      }
-      case OpKind::kSelect:
-        return ExecuteSelectNode(plan, resolver, stats);
-      case OpKind::kProject:
-        return ExecuteProjectNode(plan, resolver, stats);
-      case OpKind::kJoin:
-        return ExecuteJoinNode(plan, resolver, stats);
-      case OpKind::kAggregate:
-        return ExecuteAggregateNode(plan, resolver, stats);
-      case OpKind::kIterate:
-        return ExecuteIterateNode(plan, resolver, stats);
-    }
-    return Status::Internal("unhandled plan kind");
-  }();
-  if (result.ok() && stats != nullptr) {
-    stats->intermediate_rows += static_cast<int64_t>(result->num_rows());
-  }
-  return result;
+  return std::make_pair(l->name(), r->name());
 }
 
 }  // namespace
 
-Result<Table> ExecutePlan(const PlanNode& plan, const Resolver& resolver,
-                          ExecStats* stats) {
-  return ExecuteNode(plan, resolver, stats);
+Result<PlanPtr> LowerSelect(const relational::SelectStatement& stmt) {
+  if (!stmt.order_by.empty() || stmt.limit >= 0 || stmt.distinct) {
+    return Status::NotImplemented("MYRIA island subset: no ORDER BY / LIMIT / DISTINCT");
+  }
+  bool aliased = !stmt.from.alias.empty();
+  for (const relational::JoinClause& join : stmt.joins) {
+    aliased |= !join.table.alias.empty();
+  }
+  if (aliased) return Status::NotImplemented("MYRIA island subset: no table aliases");
+
+  PlanPtr plan = Scan(stmt.from.name);
+  for (const relational::JoinClause& join : stmt.joins) {
+    BIGDAWG_ASSIGN_OR_RETURN(auto cols, EquiColumns(*join.on));
+    plan = Join(std::move(plan), Scan(join.table.name), cols.first, cols.second);
+  }
+  if (stmt.where != nullptr) plan = Select(std::move(plan), stmt.where->Clone());
+  if (stmt.HasAggregates()) {
+    std::vector<MyriaAgg> aggs;
+    for (const relational::SelectItem& item : stmt.items) {
+      if (item.agg == relational::AggregateFunc::kNone) continue;
+      MyriaAgg agg{relational::AggregateFuncToString(item.agg), "", item.alias};
+      if (!item.count_star) {
+        const auto* col = dynamic_cast<const relational::ColumnExpr*>(item.expr.get());
+        if (col == nullptr) {
+          return Status::NotImplemented("MYRIA island aggregates take plain columns");
+        }
+        agg.column = col->name();
+      }
+      aggs.push_back(std::move(agg));
+    }
+    return Aggregate(std::move(plan), stmt.group_by, std::move(aggs));
+  }
+  bool star = false;
+  std::vector<std::string> columns;
+  std::vector<std::string> aliases;
+  for (const relational::SelectItem& item : stmt.items) {
+    if (item.is_star) {
+      star = true;
+      continue;
+    }
+    const auto* col = dynamic_cast<const relational::ColumnExpr*>(item.expr.get());
+    if (col == nullptr) {
+      return Status::NotImplemented("MYRIA island projections take plain columns (or *)");
+    }
+    columns.push_back(col->name());
+    aliases.push_back(item.alias);
+  }
+  if (star || columns.empty()) return plan;
+  return Project(std::move(plan), std::move(columns), std::move(aliases));
 }
 
 // ---------------------------------------------------------------------------
 // Optimizer
 // ---------------------------------------------------------------------------
-
-Result<Schema> PlanSchema(const PlanNode& plan, const CatalogStats& catalog) {
-  switch (plan.kind) {
-    case OpKind::kScan:
-      return catalog.schema(plan.relation);
-    case OpKind::kSelect:
-      return PlanSchema(*plan.children[0], catalog);
-    case OpKind::kProject: {
-      BIGDAWG_ASSIGN_OR_RETURN(Schema child, PlanSchema(*plan.children[0], catalog));
-      std::vector<Field> fields;
-      for (size_t i = 0; i < plan.columns.size(); ++i) {
-        BIGDAWG_ASSIGN_OR_RETURN(size_t idx, child.Resolve(plan.columns[i]));
-        Field field = child.field(idx);
-        if (!plan.project_aliases.empty() && i < plan.project_aliases.size() &&
-            !plan.project_aliases[i].empty()) {
-          field.name = plan.project_aliases[i];
-        }
-        fields.push_back(std::move(field));
-      }
-      return Schema(std::move(fields));
-    }
-    case OpKind::kJoin: {
-      BIGDAWG_ASSIGN_OR_RETURN(Schema left, PlanSchema(*plan.children[0], catalog));
-      BIGDAWG_ASSIGN_OR_RETURN(Schema right, PlanSchema(*plan.children[1], catalog));
-      return left.Concat(right, "right");
-    }
-    case OpKind::kAggregate: {
-      BIGDAWG_ASSIGN_OR_RETURN(Schema child, PlanSchema(*plan.children[0], catalog));
-      std::vector<Field> fields;
-      for (const std::string& g : plan.group_by) {
-        BIGDAWG_ASSIGN_OR_RETURN(size_t idx, child.Resolve(g));
-        fields.push_back(child.field(idx));
-      }
-      for (const MyriaAgg& a : plan.aggregates) {
-        std::string func = ToLower(a.func);
-        DataType type = DataType::kDouble;
-        if (func == "count") {
-          type = DataType::kInt64;
-        } else if (func == "min" || func == "max") {
-          BIGDAWG_ASSIGN_OR_RETURN(size_t idx, child.Resolve(a.column));
-          type = child.field(idx).type;
-        }
-        fields.emplace_back(a.alias.empty() ? func + "_" + a.column : a.alias, type);
-      }
-      return Schema(std::move(fields));
-    }
-    case OpKind::kIterate:
-      return PlanSchema(*plan.children[0], catalog);
-  }
-  return Status::Internal("unhandled plan kind");
-}
 
 size_t EstimateRows(const PlanNode& plan, const CatalogStats& catalog) {
   switch (plan.kind) {
@@ -463,6 +124,9 @@ size_t EstimateRows(const PlanNode& plan, const CatalogStats& catalog) {
     case OpKind::kSelect:
       return std::max<size_t>(1, EstimateRows(*plan.children[0], catalog) / 3);
     case OpKind::kProject:
+    case OpKind::kSort:
+    case OpKind::kDistinct:
+    case OpKind::kLimit:
       return EstimateRows(*plan.children[0], catalog);
     case OpKind::kJoin: {
       size_t l = EstimateRows(*plan.children[0], catalog);
@@ -478,21 +142,6 @@ size_t EstimateRows(const PlanNode& plan, const CatalogStats& catalog) {
 }
 
 namespace {
-
-// Column names referenced by an expression tree.
-void CollectColumns(const Expr* expr, std::set<std::string>* out) {
-  if (const auto* col = dynamic_cast<const relational::ColumnExpr*>(expr)) {
-    out->insert(col->name());
-    return;
-  }
-  if (const auto* bin = dynamic_cast<const relational::BinaryExpr*>(expr)) {
-    CollectColumns(&bin->left(), out);
-    CollectColumns(&bin->right(), out);
-    return;
-  }
-  // Unary and function nodes hide children behind the interface; a bindable
-  // probe against a candidate schema is used instead (see ResolvesAgainst).
-}
 
 // Whether every column the predicate mentions resolves in `schema`.
 bool ResolvesAgainst(const Expr& predicate, const Schema& schema) {
@@ -535,6 +184,7 @@ PlanPtr ReorderJoin(PlanPtr join, const CatalogStats& catalog) {
   // Swapped join + projection back to the original column order.
   PlanPtr swapped = Join(join->children[1], join->children[0],
                          join->right_column, join->left_column);
+  if (join->predicate != nullptr) swapped->predicate = join->predicate->Clone();
   std::vector<std::string> original_order;
   for (const Field& f : ls->fields()) original_order.push_back(f.name);
   for (const Field& f : rs->fields()) original_order.push_back(f.name);

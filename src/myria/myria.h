@@ -1,115 +1,59 @@
 #ifndef BIGDAWG_MYRIA_MYRIA_H_
 #define BIGDAWG_MYRIA_MYRIA_H_
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "relational/expression.h"
-#include "relational/table.h"
+#include "relational/plan.h"
+#include "relational/sql_ast.h"
 
 namespace bigdawg::myria {
 
+using relational::CatalogStats;
+using relational::ExecStats;
+using relational::ExecutePlan;
 using relational::Expr;
 using relational::ExprPtr;
+using relational::Iterate;
+using relational::OpKind;
+using relational::PlanNode;
+using relational::PlanPtr;
+using relational::PlanSchema;
+using relational::Scan;
+using relational::Select;
 using relational::Table;
 
 /// \brief Supplies base relations to a Myria plan by name. The polystore
 /// wires this to shims over Postgres- and SciDB-class engines.
-using Resolver = std::function<Result<Table>(const std::string&)>;
+using Resolver = relational::PlanResolver;
 
-/// \brief Node kinds of the Myria logical algebra: standard relational
-/// operators extended with iteration (the paper's "relational algebra
-/// extended with iteration").
-enum class OpKind : int {
-  kScan,
-  kSelect,
-  kProject,
-  kJoin,
-  kAggregate,
-  kIterate,
-};
-
-struct PlanNode;
-using PlanPtr = std::shared_ptr<PlanNode>;
-
-/// \brief Aggregate spec for kAggregate nodes.
+/// \brief Aggregate spec for Myria's Aggregate builder.
 struct MyriaAgg {
   std::string func;    // count | sum | avg | min | max
   std::string column;  // aggregated column ("" for count)
-  std::string alias;   // output name
+  std::string alias;   // output name ("" = lower-case func_column)
 };
 
-/// \brief A logical plan node. Fields are used according to `kind`.
-struct PlanNode {
-  OpKind kind = OpKind::kScan;
-
-  // kScan
-  std::string relation;
-
-  // kSelect
-  ExprPtr predicate;
-
-  // kProject. `project_aliases`, when non-empty, must parallel `columns`
-  // and renames each output ("" keeps the input name) — needed to align
-  // iteration step schemas with the init schema.
-  std::vector<std::string> columns;
-  std::vector<std::string> project_aliases;
-
-  // kJoin (equi-join)
-  std::string left_column;
-  std::string right_column;
-
-  // kAggregate
-  std::vector<std::string> group_by;
-  std::vector<MyriaAgg> aggregates;
-
-  // kIterate: result = fixpoint of step applied to init. Inside `step`,
-  // the special relation name "$iter" refers to the previous iteration's
-  // result (union semantics, dedup on all columns).
-  int64_t max_iterations = 100;
-
-  std::vector<PlanPtr> children;
-
-  /// Deep copy (expressions cloned).
-  PlanPtr Clone() const;
-  std::string ToString(int indent = 0) const;
-};
-
-/// Plan builders.
-PlanPtr Scan(std::string relation);
-PlanPtr Select(PlanPtr child, ExprPtr predicate);
+/// Myria's plan builders over the shared relational algebra (plan.h),
+/// which also provides Scan, Select and Iterate. Project keeps the named
+/// columns, each renamed by the parallel alias ("" keeps the input name);
+/// Join is an equi-join on one column per side; Aggregate outputs the
+/// group columns, then one column per aggregate.
 PlanPtr Project(PlanPtr child, std::vector<std::string> columns,
                 std::vector<std::string> aliases = {});
 PlanPtr Join(PlanPtr left, PlanPtr right, std::string left_column,
              std::string right_column);
 PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,
                   std::vector<MyriaAgg> aggregates);
-PlanPtr Iterate(PlanPtr init, PlanPtr step, int64_t max_iterations);
 
-/// \brief Counters filled during execution (used by optimizer tests and
-/// the island monitor).
-struct ExecStats {
-  int64_t rows_scanned = 0;
-  int64_t intermediate_rows = 0;  // rows flowing out of non-root operators
-  int64_t iterations = 0;
-};
-
-/// \brief Executes a plan against the resolver. `stats` may be null.
-Result<Table> ExecutePlan(const PlanNode& plan, const Resolver& resolver,
-                          ExecStats* stats);
-
-/// \brief Catalog metadata the optimizer consults: base-relation row
-/// counts and schemas.
-struct CatalogStats {
-  std::function<Result<size_t>(const std::string&)> row_count;
-  std::function<Result<Schema>(const std::string&)> schema;
-};
-
-/// \brief Output schema of a plan, derived from catalog schemas.
-Result<Schema> PlanSchema(const PlanNode& plan, const CatalogStats& catalog);
+/// \brief Lowers a SELECT in the MYRIA dialect. The dialect has no ORDER
+/// BY, LIMIT, DISTINCT or table aliases; joins name one column per side
+/// (`ON patient_id = patient_id`), and a right-side column whose name
+/// clashes is "right.<name>"; aggregates and projections take plain
+/// columns, and an aggregate query outputs its GROUP BY columns first.
+/// NotImplemented outside the dialect.
+Result<PlanPtr> LowerSelect(const relational::SelectStatement& stmt);
 
 /// \brief Estimated output cardinality of a plan.
 size_t EstimateRows(const PlanNode& plan, const CatalogStats& catalog);

@@ -75,7 +75,7 @@ Result<int64_t> Database::Delete(const std::string& table, const Expr* where) {
   int64_t removed = 0;
   for (Row& row : rows) {
     BIGDAWG_ASSIGN_OR_RETURN(Value v, pred->Eval(row));
-    if (!v.is_null() && v.type() == DataType::kBool && v.bool_unchecked()) {
+    if (IsTrue(v)) {
       ++removed;
     } else {
       kept.push_back(std::move(row));
@@ -119,10 +119,7 @@ Result<int64_t> Database::Update(
   for (Row& row : rows) {
     if (pred != nullptr) {
       BIGDAWG_ASSIGN_OR_RETURN(Value match, pred->Eval(row));
-      if (match.is_null() || match.type() != DataType::kBool ||
-          !match.bool_unchecked()) {
-        continue;
-      }
+      if (!IsTrue(match)) continue;
     }
     // Evaluate every assignment against the pre-update row (standard SQL
     // semantics: SET a = b, b = a swaps).

@@ -1,26 +1,13 @@
 #include "relational/executor.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
 
-#include "common/logging.h"
 #include "common/macros.h"
 
 namespace bigdawg::relational {
 
 namespace {
-
-// Renames every field to "prefix.name".
-Schema QualifySchema(const Schema& schema, const std::string& prefix) {
-  std::vector<Field> fields;
-  fields.reserve(schema.num_fields());
-  for (const Field& f : schema.fields()) {
-    fields.emplace_back(prefix + "." + f.name, f.type);
-  }
-  return Schema(std::move(fields));
-}
 
 // Display name for an output column: unqualified tail of a column name.
 std::string Unqualify(const std::string& name) {
@@ -28,494 +15,143 @@ std::string Unqualify(const std::string& name) {
   return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
-// Adds a field, disambiguating duplicate display names with _2, _3, ...
-void AddOutputField(Schema* schema, std::string name, DataType type) {
+// Claims `name` among `taken`, disambiguating repeats with _2, _3, ...
+std::string UniqueName(const std::string& name, std::vector<std::string>* taken) {
   std::string candidate = name;
-  int suffix = 2;
-  while (schema->Contains(candidate)) {
-    candidate = name + "_" + std::to_string(suffix++);
+  for (int suffix = 2;
+       std::find(taken->begin(), taken->end(), candidate) != taken->end(); ++suffix) {
+    candidate = name + "_" + std::to_string(suffix);
   }
-  BIGDAWG_CHECK_OK(schema->AddField(Field(std::move(candidate), type)));
+  taken->push_back(candidate);
+  return candidate;
 }
 
-// Flattens an AND tree into conjuncts (borrowed pointers).
-void CollectConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
-  const auto* bin = dynamic_cast<const BinaryExpr*>(expr);
-  if (bin != nullptr && bin->op() == BinaryOp::kAnd) {
-    CollectConjuncts(&bin->left(), out);
-    CollectConjuncts(&bin->right(), out);
-  } else {
-    out->push_back(expr);
+// SQL's name for a non-star SELECT item: its alias, else a column's
+// unqualified name, an aggregate's func_arg ("count_all" for COUNT(*)),
+// or an expression's text.
+std::string ItemName(const SelectItem& item) {
+  if (!item.alias.empty()) return item.alias;
+  if (item.agg != AggregateFunc::kNone) {
+    return std::string(AggregateFuncToString(item.agg)) +
+           (item.count_star ? "_all" : "_" + Unqualify(item.expr->ToString()));
   }
+  const auto* col = dynamic_cast<const ColumnExpr*>(item.expr.get());
+  return col != nullptr ? Unqualify(col->name()) : item.expr->ToString();
 }
 
-struct EquiKey {
-  size_t left_index;
-  size_t right_index;
-};
-
-// Finds one `left.col = right.col` conjunct usable as a hash-join key.
-std::optional<EquiKey> FindEquiKey(const Expr& on, const Schema& left,
-                                   const Schema& right) {
-  std::vector<const Expr*> conjuncts;
-  CollectConjuncts(&on, &conjuncts);
-  for (const Expr* c : conjuncts) {
-    const auto* bin = dynamic_cast<const BinaryExpr*>(c);
-    if (bin == nullptr || bin->op() != BinaryOp::kEq) continue;
-    const auto* lcol = dynamic_cast<const ColumnExpr*>(&bin->left());
-    const auto* rcol = dynamic_cast<const ColumnExpr*>(&bin->right());
-    if (lcol == nullptr || rcol == nullptr) continue;
-    Result<size_t> ll = left.Resolve(lcol->name());
-    Result<size_t> rr = right.Resolve(rcol->name());
-    if (ll.ok() && rr.ok()) return EquiKey{*ll, *rr};
-    Result<size_t> lr = left.Resolve(rcol->name());
-    Result<size_t> rl = right.Resolve(lcol->name());
-    if (lr.ok() && rl.ok()) return EquiKey{*lr, *rl};
-  }
-  return std::nullopt;
-}
-
-// Inner-joins `left_rows` x `right_rows` under predicate `on` (already
-// unbound; bound here against the combined schema).
-Result<std::vector<Row>> JoinRows(std::vector<Row> left_rows, const Schema& left_schema,
-                                  const std::vector<Row>& right_rows,
-                                  const Schema& right_schema, const Expr& on,
-                                  const Schema& combined) {
-  ExprPtr bound = on.Clone();
-  BIGDAWG_RETURN_NOT_OK(bound->Bind(combined));
-
-  std::vector<Row> out;
-  auto emit_if_match = [&](const Row& l, const Row& r) -> Status {
-    Row joined;
-    joined.reserve(l.size() + r.size());
-    joined.insert(joined.end(), l.begin(), l.end());
-    joined.insert(joined.end(), r.begin(), r.end());
-    BIGDAWG_ASSIGN_OR_RETURN(Value v, bound->Eval(joined));
-    if (!v.is_null() && v.type() == DataType::kBool && v.bool_unchecked()) {
-      out.push_back(std::move(joined));
-    }
-    return Status::OK();
-  };
-
-  std::optional<EquiKey> key = FindEquiKey(on, left_schema, right_schema);
-  if (key.has_value()) {
-    // Hash join: build on the smaller side conceptually; we build on right.
-    std::unordered_map<Value, std::vector<const Row*>, ValueHash> hash_table;
-    hash_table.reserve(right_rows.size());
-    for (const Row& r : right_rows) {
-      const Value& v = r[key->right_index];
-      if (v.is_null()) continue;  // NULL never equi-matches.
-      hash_table[v].push_back(&r);
-    }
-    for (const Row& l : left_rows) {
-      const Value& v = l[key->left_index];
-      if (v.is_null()) continue;
-      auto it = hash_table.find(v);
-      if (it == hash_table.end()) continue;
-      for (const Row* r : it->second) {
-        BIGDAWG_RETURN_NOT_OK(emit_if_match(l, *r));
-      }
-    }
-  } else {
-    for (const Row& l : left_rows) {
-      for (const Row& r : right_rows) {
-        BIGDAWG_RETURN_NOT_OK(emit_if_match(l, r));
-      }
-    }
-  }
+std::vector<OrderItem> CloneOrder(const std::vector<OrderItem>& order_by) {
+  std::vector<OrderItem> out;
+  for (const OrderItem& item : order_by) out.push_back(item.Clone());
   return out;
 }
 
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  int64_t isum = 0;
-  bool all_int = true;
-  bool any = false;
-  Value min;
-  Value max;
-
-  void Update(const Value& v) {
-    if (v.is_null()) return;
-    ++count;
-    if (IsNumeric(v.type())) {
-      double d = *v.ToNumeric();
-      sum += d;
-      if (v.type() == DataType::kInt64) {
-        isum += v.int64_unchecked();
-      } else {
-        all_int = false;
-      }
-    } else {
-      all_int = false;
-    }
-    if (!any || v.Compare(min) < 0) min = v;
-    if (!any || v.Compare(max) > 0) max = v;
-    any = true;
-  }
-};
-
-DataType AggOutputType(AggregateFunc f, DataType arg_type) {
-  switch (f) {
-    case AggregateFunc::kCount:
-      return DataType::kInt64;
-    case AggregateFunc::kSum:
-      return arg_type == DataType::kInt64 ? DataType::kInt64 : DataType::kDouble;
-    case AggregateFunc::kAvg:
-      return DataType::kDouble;
-    case AggregateFunc::kMin:
-    case AggregateFunc::kMax:
-      return arg_type;
-    case AggregateFunc::kNone:
-      break;
-  }
-  return DataType::kNull;
-}
-
-Value AggFinalize(AggregateFunc f, const AggState& s, bool count_star,
-                  int64_t group_size) {
-  switch (f) {
-    case AggregateFunc::kCount:
-      return Value(count_star ? group_size : s.count);
-    case AggregateFunc::kSum:
-      if (s.count == 0) return Value::Null();
-      return s.all_int ? Value(s.isum) : Value(s.sum);
-    case AggregateFunc::kAvg:
-      if (s.count == 0) return Value::Null();
-      return Value(s.sum / static_cast<double>(s.count));
-    case AggregateFunc::kMin:
-      return s.any ? s.min : Value::Null();
-    case AggregateFunc::kMax:
-      return s.any ? s.max : Value::Null();
-    case AggregateFunc::kNone:
-      break;
-  }
-  return Value::Null();
-}
-
-struct SortKey {
-  ExprPtr expr;
-  bool descending;
-};
-
-Status SortRows(std::vector<Row>* rows, const Schema& schema,
-                const std::vector<OrderItem>& order_by) {
-  std::vector<SortKey> keys;
+// Whether every ORDER BY key binds against `schema`.
+bool OrderBindsAgainst(const std::vector<OrderItem>& order_by, const Schema& schema) {
   for (const OrderItem& item : order_by) {
-    SortKey k{item.expr->Clone(), item.descending};
-    BIGDAWG_RETURN_NOT_OK(k.expr->Bind(schema));
-    keys.push_back(std::move(k));
+    if (!item.expr->Clone()->Bind(schema).ok()) return false;
   }
-  // Precompute key tuples (Eval during comparison would be O(n log n) evals).
-  std::vector<std::pair<Row, Row>> keyed;  // (keys, row)
-  keyed.reserve(rows->size());
-  for (Row& row : *rows) {
-    Row kv;
-    kv.reserve(keys.size());
-    for (const SortKey& k : keys) {
-      BIGDAWG_ASSIGN_OR_RETURN(Value v, k.expr->Eval(row));
-      kv.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(kv), std::move(row));
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [&keys](const auto& a, const auto& b) {
-                     for (size_t i = 0; i < keys.size(); ++i) {
-                       int c = a.first[i].Compare(b.first[i]);
-                       if (keys[i].descending) c = -c;
-                       if (c != 0) return c < 0;
-                     }
-                     return false;
-                   });
-  rows->clear();
-  for (auto& kv : keyed) rows->push_back(std::move(kv.second));
-  return Status::OK();
-}
-
-void ApplyDistinct(std::vector<Row>* rows) {
-  std::unordered_set<size_t> seen;
-  std::vector<Row> out;
-  out.reserve(rows->size());
-  for (Row& row : *rows) {
-    size_t h = HashRow(row);
-    bool duplicate = false;
-    if (!seen.insert(h).second) {
-      // Hash collision possible: verify against kept rows.
-      for (const Row& kept : out) {
-        if (kept.size() == row.size()) {
-          bool eq = true;
-          for (size_t i = 0; i < row.size(); ++i) {
-            if (kept[i].Compare(row[i]) != 0) {
-              eq = false;
-              break;
-            }
-          }
-          if (eq) {
-            duplicate = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!duplicate) out.push_back(std::move(row));
-  }
-  *rows = std::move(out);
-}
-
-void ApplyLimit(std::vector<Row>* rows, int64_t limit) {
-  if (limit >= 0 && rows->size() > static_cast<size_t>(limit)) {
-    rows->resize(static_cast<size_t>(limit));
-  }
+  return true;
 }
 
 }  // namespace
 
-Result<Table> ExecuteSelect(const SelectStatement& stmt, const TableResolver& resolver) {
-  // ---- FROM / JOIN ----
-  BIGDAWG_ASSIGN_OR_RETURN(const Table* base, resolver(stmt.from.name));
+Result<PlanPtr> LowerSelect(const SelectStatement& stmt, const CatalogStats& catalog) {
+  // FROM / JOIN: with joins, every field is qualified by its table's alias
+  // (or name), so only a repeated alias can make two fields clash.
   const bool qualify = !stmt.joins.empty();
-  Schema exec_schema = qualify
-                           ? QualifySchema(base->schema(), stmt.from.effective_name())
-                           : base->schema();
-  std::vector<Row> rows = base->rows();
-
+  PlanPtr plan = Scan(stmt.from.name, qualify ? stmt.from.effective_name() : "");
   for (const JoinClause& join : stmt.joins) {
-    BIGDAWG_ASSIGN_OR_RETURN(const Table* right, resolver(join.table.name));
-    Schema right_schema =
-        QualifySchema(right->schema(), join.table.effective_name());
-    std::vector<Field> combined_fields = exec_schema.fields();
+    PlanPtr right = Scan(join.table.name, join.table.effective_name());
+    BIGDAWG_ASSIGN_OR_RETURN(Schema left_schema, PlanSchema(*plan, catalog));
+    BIGDAWG_ASSIGN_OR_RETURN(Schema right_schema, PlanSchema(*right, catalog));
     for (const Field& f : right_schema.fields()) {
-      for (const Field& existing : combined_fields) {
-        if (existing.name == f.name) {
-          return Status::InvalidArgument(
-              "duplicate qualified column in join: " + f.name +
-              " (alias the table to disambiguate)");
-        }
-      }
-      combined_fields.push_back(f);
-    }
-    Schema combined{std::move(combined_fields)};
-    BIGDAWG_ASSIGN_OR_RETURN(
-        rows, JoinRows(std::move(rows), exec_schema, right->rows(), right_schema,
-                       *join.on, combined));
-    exec_schema = std::move(combined);
-  }
-
-  // ---- WHERE ----
-  if (stmt.where != nullptr) {
-    ExprPtr pred = stmt.where->Clone();
-    BIGDAWG_RETURN_NOT_OK(pred->Bind(exec_schema));
-    std::vector<Row> filtered;
-    filtered.reserve(rows.size());
-    for (Row& row : rows) {
-      BIGDAWG_ASSIGN_OR_RETURN(Value v, pred->Eval(row));
-      if (!v.is_null() && v.type() == DataType::kBool && v.bool_unchecked()) {
-        filtered.push_back(std::move(row));
+      if (left_schema.Contains(f.name)) {
+        return Status::InvalidArgument("duplicate qualified column in join: " + f.name +
+                                       " (alias the table to disambiguate)");
       }
     }
-    rows = std::move(filtered);
+    plan = Join(std::move(plan), std::move(right), join.on->Clone());
   }
+  if (stmt.where != nullptr) plan = Select(std::move(plan), stmt.where->Clone());
 
-  // ---- Aggregate or plain projection ----
-  Schema out_schema;
-  std::vector<Row> out_rows;
-
+  std::vector<std::string> taken;
   if (stmt.HasAggregates()) {
-    // Validate: every non-aggregate item must be an expression (over group
-    // columns; evaluated on the group's first row).
-    std::vector<size_t> group_indices;
-    for (const std::string& g : stmt.group_by) {
-      BIGDAWG_ASSIGN_OR_RETURN(size_t idx, exec_schema.Resolve(g));
-      group_indices.push_back(idx);
-    }
-
-    // Bind item expressions.
-    struct BoundItem {
-      const SelectItem* item;
-      ExprPtr expr;  // null for COUNT(*)
-    };
-    std::vector<BoundItem> bound;
+    // Non-aggregate items are evaluated on each group's first row.
+    std::vector<AggItem> items;
     for (const SelectItem& item : stmt.items) {
       if (item.is_star) {
         return Status::InvalidArgument("SELECT * cannot be combined with GROUP BY");
       }
-      BoundItem b{&item, nullptr};
-      if (item.expr != nullptr) {
-        b.expr = item.expr->Clone();
-        BIGDAWG_RETURN_NOT_OK(b.expr->Bind(exec_schema));
-      }
-      bound.push_back(std::move(b));
+      items.push_back(AggItem{
+          item.agg == AggregateFunc::kNone ? "" : AggregateFuncToString(item.agg),
+          item.expr ? item.expr->Clone() : nullptr, UniqueName(ItemName(item), &taken)});
     }
-
-    // Output schema.
-    for (const BoundItem& b : bound) {
-      const SelectItem& item = *b.item;
-      std::string name = item.alias;
-      if (item.agg != AggregateFunc::kNone) {
-        if (name.empty()) {
-          name = std::string(AggregateFuncToString(item.agg)) +
-                 (item.count_star ? "_all" : "_" + Unqualify(item.expr->ToString()));
-        }
-        DataType arg_type =
-            item.count_star ? DataType::kInt64 : b.expr->output_type();
-        AddOutputField(&out_schema, name, AggOutputType(item.agg, arg_type));
-      } else {
-        if (name.empty()) {
-          const auto* col = dynamic_cast<const ColumnExpr*>(item.expr.get());
-          name = col != nullptr ? Unqualify(col->name()) : item.expr->ToString();
-        }
-        AddOutputField(&out_schema, name, b.expr->output_type());
-      }
-    }
-
-    // Group rows.
-    struct Group {
-      Row representative;
-      int64_t size = 0;
-      std::vector<AggState> states;
-    };
-    std::unordered_map<Row, Group, RowHash> groups;
-    std::vector<Row> group_order;  // deterministic output ordering
-    const size_t num_aggs = bound.size();
-    for (Row& row : rows) {
-      Row key;
-      key.reserve(group_indices.size());
-      for (size_t idx : group_indices) key.push_back(row[idx]);
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        Group g;
-        g.representative = row;
-        g.states.resize(num_aggs);
-        it = groups.emplace(key, std::move(g)).first;
-        group_order.push_back(key);
-      }
-      Group& g = it->second;
-      ++g.size;
-      for (size_t i = 0; i < bound.size(); ++i) {
-        if (bound[i].item->agg == AggregateFunc::kNone || bound[i].item->count_star) {
-          continue;
-        }
-        BIGDAWG_ASSIGN_OR_RETURN(Value v, bound[i].expr->Eval(row));
-        g.states[i].Update(v);
-      }
-    }
-    // Global aggregate over empty input still yields one row.
-    if (stmt.group_by.empty() && groups.empty()) {
-      Group g;
-      g.states.resize(num_aggs);
-      Row key;
-      groups.emplace(key, std::move(g));
-      group_order.push_back(key);
-    }
-
-    for (const Row& key : group_order) {
-      Group& g = groups.at(key);
-      Row out;
-      out.reserve(bound.size());
-      for (size_t i = 0; i < bound.size(); ++i) {
-        const SelectItem& item = *bound[i].item;
-        if (item.agg != AggregateFunc::kNone) {
-          out.push_back(AggFinalize(item.agg, g.states[i], item.count_star, g.size));
-        } else if (!g.representative.empty()) {
-          BIGDAWG_ASSIGN_OR_RETURN(Value v, bound[i].expr->Eval(g.representative));
-          out.push_back(std::move(v));
-        } else {
-          out.push_back(Value::Null());
-        }
-      }
-      out_rows.push_back(std::move(out));
-    }
-
-    // ---- HAVING (over aggregate output) ----
+    plan = Aggregate(std::move(plan), stmt.group_by, std::move(items));
+    // HAVING binds against the aggregate output.
+    if (stmt.having != nullptr) plan = Select(std::move(plan), stmt.having->Clone());
+    if (stmt.distinct) plan = Distinct(std::move(plan));
+    if (!stmt.order_by.empty()) plan = Sort(std::move(plan), CloneOrder(stmt.order_by));
+  } else {
     if (stmt.having != nullptr) {
-      ExprPtr pred = stmt.having->Clone();
-      BIGDAWG_RETURN_NOT_OK(pred->Bind(out_schema));
-      std::vector<Row> kept;
-      for (Row& row : out_rows) {
-        BIGDAWG_ASSIGN_OR_RETURN(Value v, pred->Eval(row));
-        if (!v.is_null() && v.type() == DataType::kBool && v.bool_unchecked()) {
-          kept.push_back(std::move(row));
+      return Status::InvalidArgument("HAVING requires GROUP BY or aggregates");
+    }
+    std::vector<ExprPtr> exprs;
+    std::vector<std::string> names;
+    for (const SelectItem& item : stmt.items) {
+      if (!item.is_star) {
+        exprs.push_back(item.expr->Clone());
+        names.push_back(UniqueName(ItemName(item), &taken));
+        continue;
+      }
+      BIGDAWG_ASSIGN_OR_RETURN(Schema input, PlanSchema(*plan, catalog));
+      for (const Field& f : input.fields()) {
+        exprs.push_back(Col(f.name));
+        names.push_back(UniqueName(Unqualify(f.name), &taken));
+      }
+    }
+    // ORDER BY keys name output columns when they all bind there;
+    // otherwise they sort the input before projection.
+    PlanPtr project = ProjectExprs(std::move(plan), std::move(exprs), std::move(names));
+    bool sort_output = !stmt.order_by.empty();
+    if (sort_output) {
+      Result<Schema> output = PlanSchema(*project, catalog);
+      if (output.ok() && !OrderBindsAgainst(stmt.order_by, *output)) {
+        if (stmt.distinct) {
+          return Status::InvalidArgument(
+              "ORDER BY expressions must appear in the SELECT list when "
+              "DISTINCT is used");
         }
+        project->children[0] = Sort(project->children[0], CloneOrder(stmt.order_by));
+        sort_output = false;
       }
-      out_rows = std::move(kept);
     }
+    plan = std::move(project);
+    if (stmt.distinct) plan = Distinct(std::move(plan));
+    if (sort_output) plan = Sort(std::move(plan), CloneOrder(stmt.order_by));
+  }
+  if (stmt.limit >= 0) plan = Limit(std::move(plan), stmt.limit);
+  return plan;
+}
 
-    if (stmt.distinct) ApplyDistinct(&out_rows);
-    if (!stmt.order_by.empty()) {
-      BIGDAWG_RETURN_NOT_OK(SortRows(&out_rows, out_schema, stmt.order_by));
+Result<Table> ExecuteSelect(const SelectStatement& stmt, const TableResolver& resolver) {
+  // Each relation is resolved once; lowering reads its schema and
+  // execution its rows from the same snapshot.
+  std::map<std::string, Table> resolved;
+  PlanResolver fetch = [&resolved, &resolver](const std::string& name) -> Result<Table> {
+    auto it = resolved.find(name);
+    if (it == resolved.end()) {
+      BIGDAWG_ASSIGN_OR_RETURN(const Table* table, resolver(name));
+      it = resolved.emplace(name, *table).first;
     }
-    ApplyLimit(&out_rows, stmt.limit);
-    return Table(std::move(out_schema), std::move(out_rows));
-  }
-
-  // ---- Non-aggregate path ----
-  if (stmt.having != nullptr) {
-    return Status::InvalidArgument("HAVING requires GROUP BY or aggregates");
-  }
-
-  // Decide whether ORDER BY keys come from the input (pre-projection) or
-  // the output. Try the output schema after building it; fall back to input.
-  struct Projection {
-    std::vector<ExprPtr> exprs;  // one per output column
+    return it->second;
   };
-  Projection proj;
-  for (const SelectItem& item : stmt.items) {
-    if (item.is_star) {
-      for (const Field& f : exec_schema.fields()) {
-        ExprPtr col = Col(f.name);
-        BIGDAWG_RETURN_NOT_OK(col->Bind(exec_schema));
-        AddOutputField(&out_schema, Unqualify(f.name), f.type);
-        proj.exprs.push_back(std::move(col));
-      }
-      continue;
-    }
-    ExprPtr e = item.expr->Clone();
-    BIGDAWG_RETURN_NOT_OK(e->Bind(exec_schema));
-    std::string name = item.alias;
-    if (name.empty()) {
-      const auto* col = dynamic_cast<const ColumnExpr*>(item.expr.get());
-      name = col != nullptr ? Unqualify(col->name()) : item.expr->ToString();
-    }
-    AddOutputField(&out_schema, name, e->output_type());
-    proj.exprs.push_back(std::move(e));
-  }
-
-  bool order_on_output = true;
-  if (!stmt.order_by.empty()) {
-    for (const OrderItem& item : stmt.order_by) {
-      ExprPtr probe = item.expr->Clone();
-      if (!probe->Bind(out_schema).ok()) {
-        order_on_output = false;
-        break;
-      }
-    }
-    if (!order_on_output) {
-      if (stmt.distinct) {
-        return Status::InvalidArgument(
-            "ORDER BY expressions must appear in the SELECT list when "
-            "DISTINCT is used");
-      }
-      BIGDAWG_RETURN_NOT_OK(SortRows(&rows, exec_schema, stmt.order_by));
-    }
-  }
-
-  out_rows.reserve(rows.size());
-  for (const Row& row : rows) {
-    Row out;
-    out.reserve(proj.exprs.size());
-    for (const ExprPtr& e : proj.exprs) {
-      BIGDAWG_ASSIGN_OR_RETURN(Value v, e->Eval(row));
-      out.push_back(std::move(v));
-    }
-    out_rows.push_back(std::move(out));
-  }
-
-  if (stmt.distinct) ApplyDistinct(&out_rows);
-  if (!stmt.order_by.empty() && order_on_output) {
-    BIGDAWG_RETURN_NOT_OK(SortRows(&out_rows, out_schema, stmt.order_by));
-  }
-  ApplyLimit(&out_rows, stmt.limit);
-  return Table(std::move(out_schema), std::move(out_rows));
+  CatalogStats catalog;
+  catalog.schema = [&fetch](const std::string& name) -> Result<Schema> {
+    BIGDAWG_ASSIGN_OR_RETURN(Table table, fetch(name));
+    return table.schema();
+  };
+  BIGDAWG_ASSIGN_OR_RETURN(PlanPtr plan, LowerSelect(stmt, catalog));
+  return ExecutePlan(*plan, fetch, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -578,118 +214,38 @@ Result<Table> CombinePartialAggregates(const SelectStatement& stmt,
       return Status::Internal("aggregate partial must have exactly one row");
     }
   }
-
-  // Output schema, named exactly as ExecuteSelect names it. Types come
-  // from the partial columns: a SUM partial already has the final SUM
-  // type, MIN/MAX partials carry the argument type, COUNT is int64 and
-  // AVG double by definition.
-  Schema out_schema;
-  std::vector<size_t> first_col(stmt.items.size());
-  {
-    size_t col = 0;
-    for (size_t i = 0; i < stmt.items.size(); ++i) {
-      const SelectItem& item = stmt.items[i];
-      first_col[i] = col;
-      std::string name = item.alias;
-      if (name.empty()) {
-        name = std::string(AggregateFuncToString(item.agg)) +
-               (item.count_star ? "_all" : "_" + Unqualify(item.expr->ToString()));
-      }
-      DataType type;
-      switch (item.agg) {
-        case AggregateFunc::kCount:
-          type = DataType::kInt64;
-          break;
-        case AggregateFunc::kAvg:
-          type = DataType::kDouble;
-          break;
-        default:
-          type = partials[0].schema().field(col).type;
-          break;
-      }
-      AddOutputField(&out_schema, std::move(name), type);
-      col += item.agg == AggregateFunc::kAvg ? 2 : 1;
-    }
-  }
-
-  Row out;
-  out.reserve(stmt.items.size());
+  // An Aggregate over the stacked partial rows: COUNTs and SUMs add (a
+  // SUM stays NULL when every shard saw only NULLs), MIN/MAX compare, and
+  // AVG divides its summed SUM and COUNT partials. The final projection
+  // names each column exactly as ExecuteSelect does.
+  constexpr char kPartials[] = "$partials";
+  std::vector<AggItem> combine;
+  std::vector<ExprPtr> exprs;
+  std::vector<std::string> names;
+  std::vector<std::string> taken;
   for (size_t i = 0; i < stmt.items.size(); ++i) {
     const SelectItem& item = stmt.items[i];
-    const size_t col = first_col[i];
-    switch (item.agg) {
-      case AggregateFunc::kCount: {
-        int64_t total = 0;
-        for (const Table& p : partials) {
-          total += p.rows()[0][col].int64_unchecked();
-        }
-        out.push_back(Value(total));
-        break;
-      }
-      case AggregateFunc::kSum: {
-        // NULL partial = that shard saw no non-null values; a SUM over
-        // nothing anywhere stays NULL, matching AggFinalize.
-        const bool int_sum =
-            partials[0].schema().field(col).type == DataType::kInt64;
-        int64_t isum = 0;
-        double dsum = 0;
-        bool any = false;
-        for (const Table& p : partials) {
-          const Value& v = p.rows()[0][col];
-          if (v.is_null()) continue;
-          any = true;
-          if (int_sum) {
-            isum += v.int64_unchecked();
-          } else {
-            BIGDAWG_ASSIGN_OR_RETURN(double d, v.ToNumeric());
-            dsum += d;
-          }
-        }
-        if (!any) {
-          out.push_back(Value::Null());
-        } else {
-          out.push_back(int_sum ? Value(isum) : Value(dsum));
-        }
-        break;
-      }
-      case AggregateFunc::kAvg: {
-        double sum = 0;
-        int64_t count = 0;
-        for (const Table& p : partials) {
-          const Value& sv = p.rows()[0][col];
-          count += p.rows()[0][col + 1].int64_unchecked();
-          if (sv.is_null()) continue;
-          BIGDAWG_ASSIGN_OR_RETURN(double d, sv.ToNumeric());
-          sum += d;
-        }
-        out.push_back(count == 0
-                          ? Value::Null()
-                          : Value(sum / static_cast<double>(count)));
-        break;
-      }
-      case AggregateFunc::kMin:
-      case AggregateFunc::kMax: {
-        Value best;
-        bool any = false;
-        for (const Table& p : partials) {
-          const Value& v = p.rows()[0][col];
-          if (v.is_null()) continue;
-          const int c = any ? v.Compare(best) : 0;
-          if (!any || (item.agg == AggregateFunc::kMin ? c < 0 : c > 0)) {
-            best = v;
-          }
-          any = true;
-        }
-        out.push_back(any ? best : Value::Null());
-        break;
-      }
-      case AggregateFunc::kNone:
-        return Status::Internal("non-aggregate item in distributive combine");
+    const std::string p = "p" + std::to_string(i);
+    const bool min_max =
+        item.agg == AggregateFunc::kMin || item.agg == AggregateFunc::kMax;
+    combine.push_back(
+        AggItem{min_max ? AggregateFuncToString(item.agg) : "sum", Col(p), p});
+    ExprPtr out = Col(p);
+    if (item.agg == AggregateFunc::kAvg) {
+      combine.push_back(AggItem{"sum", Col(p + "_c"), p + "_c"});
+      out = Bin(BinaryOp::kDiv, std::move(out), Col(p + "_c"));
     }
+    exprs.push_back(std::move(out));
+    names.push_back(UniqueName(ItemName(item), &taken));
   }
-  std::vector<Row> out_rows;
-  out_rows.push_back(std::move(out));
-  return Table(std::move(out_schema), std::move(out_rows));
+  PlanPtr plan = ProjectExprs(Aggregate(Scan(kPartials), {}, std::move(combine)),
+                              std::move(exprs), std::move(names));
+  std::vector<Row> rows;
+  for (const Table& p : partials) rows.push_back(p.rows()[0]);
+  Table stacked(partials[0].schema(), std::move(rows));
+  return ExecutePlan(*plan,
+                     [&stacked](const std::string&) -> Result<Table> { return stacked; },
+                     nullptr);
 }
 
 }  // namespace bigdawg::relational

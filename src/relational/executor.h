@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "relational/plan.h"
 #include "relational/sql_ast.h"
 #include "relational/table.h"
 
@@ -13,12 +14,17 @@ namespace bigdawg::relational {
 /// \brief Supplies base relations to the executor by name.
 using TableResolver = std::function<Result<const Table*>(const std::string&)>;
 
+/// \brief Lowers a SELECT into the shared plan algebra (see plan.h):
+/// Scan -> Join (tables qualified by alias when joined) -> Select(WHERE)
+/// -> Aggregate -> Select(HAVING) | Project -> Distinct -> Sort -> Limit.
+/// ORDER BY keys sort the output when they all bind against it, else
+/// the input before projection. `catalog` supplies schemas, which are
+/// read only for SELECT *, joins, and ORDER BY placement.
+Result<PlanPtr> LowerSelect(const SelectStatement& stmt, const CatalogStats& catalog);
+
 /// \brief Executes a SELECT against tables provided by `resolver`,
-/// materializing the result.
-///
-/// Pipeline: FROM/JOIN (hash join on extractable equi-keys, else nested
-/// loop) -> WHERE -> GROUP BY/aggregate -> HAVING -> projection ->
-/// DISTINCT -> ORDER BY -> LIMIT.
+/// materializing the result: LowerSelect, then ExecutePlan. Each table
+/// is resolved once.
 Result<Table> ExecuteSelect(const SelectStatement& stmt, const TableResolver& resolver);
 
 /// \brief True when `stmt` is a scalar aggregate that distributes over a
@@ -37,10 +43,10 @@ Result<SelectStatement> BuildPartialAggregateSelect(
 
 /// \brief Recombines per-shard partial rows (each the one-row output of
 /// BuildPartialAggregateSelect's query) into byte-for-byte the table
-/// ExecuteSelect would produce over the union of the fragments: COUNTs
-/// add, SUMs add (NULL when every shard saw only NULLs), AVG divides the
-/// summed partials, MIN/MAX compare across shards — replicating the
-/// executor's output naming and null semantics exactly.
+/// ExecuteSelect would produce over the union of the fragments, by
+/// running an Aggregate over the partial rows: COUNTs and SUMs add (NULL
+/// when every shard saw only NULLs), AVG divides the summed partials,
+/// MIN/MAX compare across shards.
 Result<Table> CombinePartialAggregates(const SelectStatement& stmt,
                                        const std::vector<Table>& partials);
 

@@ -370,6 +370,16 @@ bool LikeMatch(const std::string& text, const std::string& pattern) {
   return p == pattern.size();
 }
 
+void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
+  const auto* bin = dynamic_cast<const BinaryExpr*>(expr);
+  if (bin != nullptr && bin->op() == BinaryOp::kAnd) {
+    SplitConjuncts(&bin->left(), out);
+    SplitConjuncts(&bin->right(), out);
+  } else {
+    out->push_back(expr);
+  }
+}
+
 ExprPtr Lit(Value v) { return std::make_unique<LiteralExpr>(std::move(v)); }
 ExprPtr Col(std::string name) { return std::make_unique<ColumnExpr>(std::move(name)); }
 ExprPtr Bin(BinaryOp op, ExprPtr l, ExprPtr r) {

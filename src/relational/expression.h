@@ -181,6 +181,16 @@ class FunctionExpr final : public Expr {
 /// \brief SQL LIKE with '%' (any run) and '_' (single char).
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
+/// \brief SQL predicate semantics: only a boolean TRUE passes; NULL and
+/// FALSE (and non-boolean values) reject the row.
+inline bool IsTrue(const Value& v) {
+  return !v.is_null() && v.type() == DataType::kBool && v.bool_unchecked();
+}
+
+/// \brief Appends the conjuncts of `expr`'s top-level AND tree to `out`
+/// (borrowed pointers; a non-AND expression is its own single conjunct).
+void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out);
+
 /// Convenience builders used by tests and programmatic plans.
 ExprPtr Lit(Value v);
 ExprPtr Col(std::string name);

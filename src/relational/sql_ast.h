@@ -16,6 +16,10 @@ enum class AggregateFunc : int { kNone, kCount, kSum, kAvg, kMin, kMax };
 
 const char* AggregateFuncToString(AggregateFunc f);
 
+/// \brief Inverse of AggregateFuncToString, case-insensitive; "" is kNone.
+/// InvalidArgument for any other name.
+Result<AggregateFunc> AggregateFuncFromString(const std::string& name);
+
 /// \brief One item in a SELECT list. Exactly one of {star, aggregate,
 /// scalar expr} applies.
 struct SelectItem {
@@ -55,6 +59,8 @@ struct OrderItem {
   OrderItem() = default;
   OrderItem(OrderItem&&) = default;
   OrderItem& operator=(OrderItem&&) = default;
+
+  OrderItem Clone() const;
 };
 
 /// \brief Parsed SELECT ... FROM ... [JOIN]* [WHERE] [GROUP BY] [HAVING]

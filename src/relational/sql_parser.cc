@@ -25,6 +25,22 @@ const char* AggregateFuncToString(AggregateFunc f) {
   return "?";
 }
 
+Result<AggregateFunc> AggregateFuncFromString(const std::string& name) {
+  if (name.empty()) return AggregateFunc::kNone;
+  for (AggregateFunc f : {AggregateFunc::kCount, AggregateFunc::kSum, AggregateFunc::kAvg,
+                          AggregateFunc::kMin, AggregateFunc::kMax}) {
+    if (EqualsIgnoreCase(name, AggregateFuncToString(f))) return f;
+  }
+  return Status::InvalidArgument("unknown aggregate: " + name);
+}
+
+OrderItem OrderItem::Clone() const {
+  OrderItem out;
+  out.expr = expr->Clone();
+  out.descending = descending;
+  return out;
+}
+
 SelectItem SelectItem::Clone() const {
   SelectItem out;
   out.is_star = is_star;

@@ -57,8 +57,7 @@ SeeDb::SeeDb(relational::Table data, relational::ExprPtr target_predicate)
       init_status_ = v.status();
       return;
     }
-    in_target_[i] =
-        !v->is_null() && v->type() == DataType::kBool && v->bool_unchecked();
+    in_target_[i] = relational::IsTrue(*v);
   }
 }
 

@@ -128,6 +128,27 @@ TEST_F(MyriaTest, IterationReachesTransitiveClosureFixpoint) {
   EXPECT_LT(stats.iterations, 10);
 }
 
+TEST_F(MyriaTest, IterationClosesALongChain) {
+  // 0 -> 1 -> ... -> 63: the closure holds every pair i < j, 64*63/2 of
+  // them, reached after one iteration per extra hop.
+  BIGDAWG_CHECK_OK(db_.CreateTable(
+      "chain", Schema({Field("src", DataType::kInt64), Field("dst", DataType::kInt64)})));
+  for (int64_t i = 0; i + 1 < 64; ++i) {
+    BIGDAWG_CHECK_OK(db_.Insert("chain", {Value(i), Value(i + 1)}));
+  }
+  PlanPtr plan = Iterate(Scan("chain"),
+                         Project(Join(Scan("$iter"), Scan("chain"), "dst", "src"),
+                                 {"src", "right.dst"}, {"", "dst"}),
+                         100);
+  ExecStats stats;
+  Table closure = *ExecutePlan(*plan, resolver_, &stats);
+  EXPECT_EQ(closure.num_rows(), 2016u);
+  for (const Row& row : closure.rows()) {
+    EXPECT_LT(row[0].int64_unchecked(), row[1].int64_unchecked());
+  }
+  EXPECT_LT(stats.iterations, 100);
+}
+
 TEST_F(MyriaTest, ExecStatsTracksScannedRows) {
   ExecStats stats;
   PlanPtr plan = Select(Scan("patients"), *ParseExpression("age > 50"));

@@ -194,5 +194,25 @@ TEST_F(ExecutorTest, DuplicateOutputNamesDisambiguated) {
   EXPECT_EQ(t.schema().field(1).name, "age_2");
 }
 
+TEST_F(ExecutorTest, DistinctKeepsFirstOccurrenceUnderValueEquality) {
+  BIGDAWG_CHECK_OK(db_.CreateTable(
+      "mix", Schema({Field("x", DataType::kInt64), Field("y", DataType::kDouble)})));
+  BIGDAWG_CHECK_OK(db_.InsertMany(
+      "mix", {{Value(3), Value::Null()}, {Value::Null(), Value(3.0)},
+              {Value::Null(), Value::Null()}, {Value::Null(), Value::Null()},
+              {Value(4), Value(9.0)}, {Value(3), Value(1.0)}}));
+  // 3 and 3.0 are one value; NULLs are one value; the first occurrence
+  // (and its type) is kept, in input order.
+  Table t = Run("SELECT DISTINCT coalesce(x, y) AS v FROM mix");
+  ASSERT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.rows()[0][0].type(), DataType::kInt64);
+  EXPECT_EQ(t.rows()[0][0], Value(3));
+  EXPECT_TRUE(t.rows()[1][0].is_null());
+  EXPECT_EQ(t.rows()[2][0], Value(4));
+
+  Table pairs = Run("SELECT DISTINCT x, y FROM mix");
+  EXPECT_EQ(pairs.num_rows(), 5u);  // only the (NULL, NULL) repeat collapses
+}
+
 }  // namespace
 }  // namespace bigdawg::relational

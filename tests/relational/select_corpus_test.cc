@@ -24,6 +24,9 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/bigdawg.h"
+#include "myria/myria.h"
+#include "relational/executor.h"
+#include "relational/sql_parser.h"
 
 namespace bigdawg {
 namespace {
@@ -68,8 +71,12 @@ void LoadTables(core::BigDawg* dawg) {
   BIGDAWG_CHECK_OK(pg.CreateTable(
       "tiny", Schema({Field("k", DataType::kInt64), Field("v", DataType::kDouble)})));
   BIGDAWG_CHECK_OK(pg.InsertMany(
-      "tiny", {{Value(1), Value(3.0)}, {Value(2), Value(3.0)}, {Value(3), Value(0.5)},
-               {Value(3), Value(0.5)}, {Value(4), Value::Null()}, {Value(5), Value(7.0)}}));
+      "tiny", {{Value(1), Value(3.0)},
+               {Value(2), Value(3.0)},
+               {Value(3), Value(0.5)},
+               {Value(3), Value(0.5)},
+               {Value(4), Value::Null()},
+               {Value(5), Value(7.0)}}));
   BIGDAWG_CHECK_OK(pg.CreateTable(
       "empty_t", Schema({Field("id", DataType::kInt64), Field("a", DataType::kInt64),
                          Field("b", DataType::kDouble)})));
@@ -134,7 +141,8 @@ const std::vector<Shape>& PlainShapes() {
        {"p.id, r.rid", "p.a, r.y, r.rid"},
        {"", "p.grp = 1", "r.rid < 5"},
        {"", "r.rid, p.id"}},
-      {"pt p JOIN tiny t ON p.b = t.v", {"*", "p.id, t.k"}, {"", "t.k > 1"}, {"", "t.k, p.id"}},
+      {"pt p JOIN tiny t ON p.b = t.v",
+       {"*", "p.id, t.k"}, {"", "t.k > 1"}, {"", "t.k, p.id"}},
       {"pt p JOIN tiny t ON p.a = t.v", {"*", "p.id, p.a, t.k"}, {""}, {"", "p.id"}},
       {"pt p JOIN rx r ON p.id = r.id JOIN tiny t ON r.y = t.k",
        {"*", "p.id, r.rid, t.v"}, {"", "t.v > 1"}, {"", "r.rid"}},
@@ -153,7 +161,8 @@ const std::vector<Shape>& PlainShapes() {
 
 const std::vector<AggShape>& AggShapes() {
   static const std::vector<AggShape> shapes = {
-      {"pt", "grp, COUNT(*)", "grp", {"", "count_all > 7"}, {"", "grp", "count_all DESC, grp"}},
+      {"pt", "grp, COUNT(*)", "grp", {"", "count_all > 7"},
+       {"", "grp", "count_all DESC, grp"}},
       {"pt", "grp, COUNT(a) AS na, SUM(a), SUM(b), AVG(b), MIN(s), MAX(s)", "grp",
        {"", "na >= 5", "sum_a > 20"}, {"", "grp DESC", "sum_b"}},
       {"pt", "COUNT(*), SUM(a), AVG(a), MIN(b), MAX(b)", "", {""}, {""}},
@@ -169,13 +178,15 @@ const std::vector<AggShape>& AggShapes() {
       {"pt", "grp, COUNT(*), SUM(a), SUM(b), AVG(a), MIN(s), MAX(b)", "grp", {""}, {""}},
       {"pt", "COUNT(*) AS n, SUM(a) AS t", "", {""}, {""}},
       {"pt", "grp, MIN(a) AS lo, MAX(a) AS hi", "grp", {"", "hi - lo > 10"}, {"", "lo"}},
-      {"rx", "id, COUNT(*) AS n, SUM(y) AS sy, AVG(x)", "id", {"", "n > 1"}, {"", "n DESC, id"}},
+      {"rx", "id, COUNT(*) AS n, SUM(y) AS sy, AVG(x)", "id", {"", "n > 1"},
+       {"", "n DESC, id"}},
       {"rx", "s, MAX(x), MIN(y)", "s", {""}, {"", "s"}},
       {"rx", "y, SUM(x), COUNT(s)", "y", {""}, {""}},
       {"tiny", "v, COUNT(*), SUM(k)", "v", {""}, {"", "v"}},
       {"pt p JOIN rx r ON p.id = r.id", "p.grp, COUNT(*) AS n, SUM(r.y) AS sy", "p.grp",
        {"", "n > 3"}, {"", "grp", "n DESC, grp"}},
-      {"pt p JOIN rx r ON p.id = r.id", "r.s, AVG(p.b), MAX(r.x)", "r.s", {""}, {"", "s"}},
+      {"pt p JOIN rx r ON p.id = r.id", "r.s, AVG(p.b), MAX(r.x)", "r.s", {""},
+       {"", "s"}},
       {"pt JOIN rx ON id = id", "grp, COUNT(*), SUM(y)", "grp", {""}, {""}},
       {"pt JOIN rx ON id = id", "s, SUM(x), MIN(right.s)", "s", {""}, {""}},
       {"empty_t", "COUNT(*), SUM(a), AVG(b), MIN(a)", "", {""}, {""}},
@@ -362,6 +373,46 @@ TEST(SelectCorpusTest, MatchesGolden) {
     if (++shown == 20) break;
   }
   EXPECT_EQ(shown, 0) << "rendering is in " << SELECT_CORPUS_ACTUAL;
+}
+
+// The Myria optimizer's pushdown and reorder rules trust PlanSchema, and
+// SQL lowering reads it to place ORDER BY: for every corpus query that
+// lowers and runs, PlanSchema of the plan must be the schema execution
+// returns — for both dialects, and for Myria's optimized plans too.
+TEST(SelectCorpusTest, PlanSchemaMatchesExecutedSchema) {
+  core::BigDawg dawg;
+  LoadTables(&dawg);
+  relational::Database& pg = dawg.postgres();
+  relational::CatalogStats catalog;
+  catalog.row_count = [&pg](const std::string& name) { return pg.TableRowCount(name); };
+  catalog.schema = [&pg](const std::string& name) { return pg.GetSchema(name); };
+  relational::PlanResolver resolver = [&pg](const std::string& name) {
+    return pg.GetTable(name);
+  };
+
+  int checked = 0;
+  auto check = [&](const std::string& what, const relational::PlanNode& plan) {
+    Result<relational::Table> executed = relational::ExecutePlan(plan, resolver, nullptr);
+    if (!executed.ok()) return;
+    Result<Schema> derived = relational::PlanSchema(plan, catalog);
+    ASSERT_TRUE(derived.ok()) << what << ": " << derived.status().ToString();
+    EXPECT_EQ(derived->ToString(), executed->schema().ToString()) << what;
+    ++checked;
+  };
+  for (const std::string& sql : Corpus()) {
+    Result<relational::Statement> stmt = relational::ParseSql(sql);
+    if (!stmt.ok()) continue;
+    const auto* select = std::get_if<relational::SelectStatement>(&*stmt);
+    if (select == nullptr) continue;
+    Result<relational::PlanPtr> sql_plan = relational::LowerSelect(*select, catalog);
+    if (sql_plan.ok()) check("RELATIONAL " + sql, **sql_plan);
+    Result<relational::PlanPtr> myria_plan = myria::LowerSelect(*select);
+    if (myria_plan.ok()) {
+      check("MYRIA " + sql, **myria_plan);
+      check("MYRIA optimized " + sql, *myria::Optimize(*myria_plan, catalog));
+    }
+  }
+  EXPECT_GE(checked, 500);
 }
 
 }  // namespace
