@@ -2,6 +2,7 @@
 #define BIGDAWG_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -22,6 +23,35 @@ inline double MedianMs(int trials, const std::function<void()>& fn) {
   }
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
+}
+
+/// The median of a sample with its distribution-free 95% confidence
+/// interval, from order statistics of Binomial(n, 1/2): the summary
+/// interleaved A/B trials are judged on. A median of paired ratios
+/// cancels the noise both sides share, and the interval says whether the
+/// trials can tell the median from a bound at all.
+struct MedianCi {
+  double low = 0;
+  double median = 0;
+  double high = 0;
+};
+
+inline MedianCi MedianWithCi(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  const double median = (samples[(n - 1) / 2] + samples[n / 2]) / 2;
+  // Largest rank r with P(X < r) <= 2.5%, X ~ Binomial(n, 1/2); the
+  // interval [x_(r), x_(n+1-r)] then covers the median with >= 95%.
+  size_t r = 0;
+  double below = 0;                                    // P(X < r)
+  double pmf = std::ldexp(1.0, -static_cast<int>(n));  // P(X = r)
+  while (r < n / 2 && below + pmf <= 0.025) {
+    below += pmf;
+    ++r;
+    pmf *= static_cast<double>(n - r + 1) / static_cast<double>(r);
+  }
+  r = std::max<size_t>(r, 1);
+  return {samples[r - 1], median, samples[n - r]};
 }
 
 inline void PrintHeader(const std::string& experiment, const std::string& claim) {

@@ -80,8 +80,9 @@ int main() {
   exec::QueryService service(
       &dawg, {.num_workers = 4, .max_in_flight = 16, .slow_query_ms = 0});
 
-  // Three client threads, each with its own session (private CAST temp
-  // namespace), running cross-island queries concurrently.
+  // Three client threads, each with its own session, running cross-island
+  // queries concurrently; each query's CAST results stay in its own
+  // execution context.
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&service, c] {

@@ -7,6 +7,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <type_traits>
+#include <variant>
 
 #include "common/lexer.h"
 #include "common/logging.h"
@@ -32,12 +33,6 @@ double ShardHedgeMs() {
   return ms;
 }
 
-/// CAST temporaries are written, read once, and dropped by the same
-/// execution; caching them would only churn the LRU.
-bool IsCastTemp(const std::string& object) {
-  return object.rfind("__cast_", 0) == 0;
-}
-
 /// Runs `fn(std::type_identity<T>{})` with T the model `engine` stores
 /// natively — the model its sharded objects are partitioned, gathered and
 /// merged in — or returns `otherwise` for an engine that stores none of
@@ -56,6 +51,13 @@ auto WithHomeModel(const std::string& engine, Fn&& fn, Status otherwise)
 ExecContext*& BigDawg::ActiveCtx() {
   static thread_local ExecContext* ctx = nullptr;
   return ctx;
+}
+
+const ModelValue* BigDawg::CastResult(const std::string& name) {
+  ExecContext* ctx = ActiveCtx();
+  if (ctx == nullptr) return nullptr;
+  auto it = ctx->overlay.find(name);
+  return it == ctx->overlay.end() ? nullptr : &it->second;
 }
 
 BigDawg::BigDawg() {
@@ -88,8 +90,11 @@ BigDawg::BigDawg() {
   };
   add(std::make_unique<RelationalIsland>("RELATIONAL", engines, &catalog_,
                                          table_fetcher, /*degenerate=*/false));
+  auto is_cast_result = [](const std::string& name) {
+    return CastResult(name) != nullptr;
+  };
   add(std::make_unique<ArrayIsland>("ARRAY", engines, &catalog_, array_fetcher,
-                                    /*degenerate=*/false));
+                                    is_cast_result, /*degenerate=*/false));
   add(std::make_unique<TextIsland>(engines));
   add(std::make_unique<StreamIsland>(engines));
   add(std::make_unique<D4mIsland>(engines, &catalog_, assoc_fetcher));
@@ -98,7 +103,7 @@ BigDawg::BigDawg() {
   add(std::make_unique<RelationalIsland>("POSTGRES", engines, &catalog_,
                                          table_fetcher, /*degenerate=*/true));
   add(std::make_unique<ArrayIsland>("SCIDB", engines, &catalog_, array_fetcher,
-                                    /*degenerate=*/true));
+                                    is_cast_result, /*degenerate=*/true));
 
   // The streaming island's ingest/advance paths go through the same fault
   // plane as every other engine shim, so injected S-Store outages surface
@@ -483,6 +488,11 @@ Result<d4m::AssocArray> BigDawg::FetchAsAssoc(const std::string& object) {
 
 template <typename T>
 Result<T> BigDawg::Fetch(const std::string& object) {
+  // A CAST result of the running execution shadows the catalog. It is
+  // already in memory, so no engine, shim or cache is involved.
+  if (const ModelValue* cast = CastResult(object)) {
+    return std::visit([](const auto& v) { return Model<T>::From(v); }, *cast);
+  }
   // A repartition can retire the physical names between a snapshot and
   // the reads under it; a NotFound with a moved placement epoch means
   // exactly that race, and a fresh attempt sees the new layout.
@@ -525,8 +535,7 @@ Result<T> BigDawg::FetchOnce(const std::string& object) {
   }
   // A read in the engine's own model is not a cast: there is no
   // conversion to save, so the cache never interposes on it.
-  if (!cast_cache_.enabled() || loc.engine == Model<T>::kHome ||
-      IsCastTemp(object)) {
+  if (!cast_cache_.enabled() || loc.engine == Model<T>::kHome) {
     return Route<T>(object, loc, &shim_span, trace);
   }
   CastCacheKey key{object, snap.instance_id, snap.version, Model<T>::kTarget, ""};
@@ -583,46 +592,18 @@ Result<T> BigDawg::Route(const std::string& object, const ObjectLocation& loc,
 }
 
 // ---------------------------------------------------------------------------
-// CAST materialization
+// Persistent CAST
 // ---------------------------------------------------------------------------
-
-Status BigDawg::StoreTableAs(const relational::Table& table, DataModel model,
-                             const std::string& object, ExecContext* temp_owner) {
-  const char* engine = kEnginePostgres;
-  switch (model) {
-    case DataModel::kRelation:
-      engine = kEnginePostgres;
-      break;
-    case DataModel::kArray:
-      engine = kEngineSciDb;
-      break;
-    case DataModel::kAssociative:
-      engine = kEngineD4m;
-      break;
-    case DataModel::kTileMatrix:
-      engine = kEngineTileDb;
-      break;
-  }
-  BIGDAWG_RETURN_NOT_OK(StoreTableOnEngine(table, engine, object));
-  BIGDAWG_RETURN_NOT_OK(catalog_.Register({object, engine, object}));
-  if (temp_owner != nullptr) temp_owner->temporaries.push_back(object);
-  return Status::OK();
-}
 
 Status BigDawg::CastAndStore(const std::string& object, DataModel target,
                              const std::string& new_object) {
   BIGDAWG_ASSIGN_OR_RETURN(relational::Table table, FetchAsTable(object));
-  return StoreTableAs(table, target, new_object, /*temp_owner=*/nullptr);
-}
-
-void BigDawg::ClearTemporaries(ExecContext* ctx) {
-  for (const std::string& name : ctx->temporaries) {
-    Result<ObjectLocation> loc = catalog_.Lookup(name);
-    if (!loc.ok()) continue;
-    DropPhysical(loc->engine, loc->native_name);
-    (void)catalog_.Remove(name);
-  }
-  ctx->temporaries.clear();
+  const char* engine = target == DataModel::kArray         ? kEngineSciDb
+                       : target == DataModel::kAssociative ? kEngineD4m
+                       : target == DataModel::kTileMatrix  ? kEngineTileDb
+                                                           : kEnginePostgres;
+  BIGDAWG_RETURN_NOT_OK(StoreTableOnEngine(table, engine, new_object));
+  return catalog_.Register({new_object, engine, new_object});
 }
 
 // ---------------------------------------------------------------------------
@@ -767,7 +748,7 @@ Result<T> BigDawg::FetchFragment(const std::string& object,
   auto read = [this, shard, &frag] {
     return Model<T>::GetShard(shard_runtime_, shard, frag);
   };
-  if (!cast_cache_.enabled() || IsCastTemp(object)) return read();
+  if (!cast_cache_.enabled()) return read();
   // Fragment reads key the cache on THAT shard's write version (params
   // carry the shard/epoch so two shards of one object never collide):
   // writing or migrating shard 3 invalidates only shard 3's entry and

@@ -1,7 +1,6 @@
 #ifndef BIGDAWG_CORE_BIGDAWG_H_
 #define BIGDAWG_CORE_BIGDAWG_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -58,10 +57,11 @@ struct CastPlanStep {
 ///   MYRIA(SELECT race, COUNT(*) FROM patients GROUP BY race)
 ///
 /// SCOPE = the island name wrapping the query; a query with no SCOPE
-/// defaults to the RELATIONAL island. CAST(obj, model) materializes
-/// `obj` in the target data model (relation | array | associative |
-/// tilematrix) under a temporary catalog name before dispatch; the first
-/// argument may itself be a scoped subquery.
+/// defaults to the RELATIONAL island. CAST(obj, model) converts `obj`
+/// into the target data model (relation | array | associative |
+/// tilematrix) and hands it to the island by a name in the execution's
+/// overlay (ExecContext::overlay), writing no engine or catalog entry;
+/// the first argument may itself be a scoped subquery.
 class BigDawg {
  public:
   BigDawg();
@@ -97,7 +97,7 @@ class BigDawg {
   obs::Tracer& tracer() { return tracer_; }
   /// The shared cast-result cache. Cross-model fetches (FetchAsTable of
   /// an array, FetchAsArray of a relation, ...) consult it before any
-  /// shim runs; native same-model reads and CAST temporaries bypass it.
+  /// shim runs; native same-model reads and CAST results bypass it.
   /// Version bumps (MarkObjectWritten) make stale entries unreachable;
   /// they age out via LRU. BIGDAWG_CAST_CACHE=0 disables it at startup.
   CastCache& cast_cache() { return cast_cache_; }
@@ -113,10 +113,10 @@ class BigDawg {
   /// anonymous per-call execution context.
   Result<relational::Table> Execute(const std::string& query);
 
-  /// Executes a query under a caller-provided context. The context
-  /// carries the CAST temp-object namespace (so concurrent executions
-  /// cannot collide), the cooperative cancellation flag, and the
-  /// deadline; exec::QueryService threads one per submitted query.
+  /// Executes a query under a caller-provided context. The context holds
+  /// the execution's CAST results (so concurrent executions never see
+  /// each other's), the cooperative cancellation flag, and the deadline;
+  /// exec::QueryService threads one per submitted query.
   Result<relational::Table> Execute(const std::string& query, ExecContext* ctx);
 
   /// Dry-runs the CAST analysis of a query: parses out every CAST site
@@ -231,13 +231,6 @@ class BigDawg {
                                           size_t max_rows);
 
  private:
-  /// Stores a relation under `object` in the target model. When
-  /// `temp_owner` is non-null the object is registered as a CAST
-  /// temporary of that execution and dropped when it finishes.
-  Status StoreTableAs(const relational::Table& table, DataModel model,
-                      const std::string& object, ExecContext* temp_owner);
-  /// Drops the CAST temporaries a finished execution created.
-  void ClearTemporaries(ExecContext* ctx);
   /// Stores a relation on an engine (converting as needed) under `native`.
   Status StoreTableOnEngine(const relational::Table& table,
                             const std::string& engine, const std::string& native);
@@ -308,7 +301,10 @@ class BigDawg {
   Result<relational::Table> ExecuteScoped(const std::string& island_name,
                                           const std::string& inner_query,
                                           ExecContext* ctx);
-  Result<std::string> RewriteCasts(const std::string& query, ExecContext* ctx);
+  /// Runs every CAST in `query`, the body of an `island` scope, into the
+  /// overlay; returns `query` with each CAST(...) replaced by its name.
+  Result<std::string> RewriteCasts(const std::string& island,
+                                   const std::string& query, ExecContext* ctx);
   /// Recursive worker behind PlanCasts; appends steps in execution order.
   Status PlanCastsInto(const std::string& query,
                        std::vector<CastPlanStep>* steps);
@@ -329,8 +325,6 @@ class BigDawg {
   std::map<std::string, std::unique_ptr<Island>> islands_;
   /// The stream -> array-engine age-out pipeline (null until enabled).
   std::unique_ptr<StreamAgeOut> stream_ageout_;
-  /// Sequence for anonymous ExecContext temp namespaces.
-  std::atomic<int64_t> ctx_seq_{0};
   /// The context of the execution running on this thread, so engine
   /// shims reached through island fetcher lambdas (which carry no
   /// context) can stamp resilience bookkeeping onto it. Set by
@@ -341,6 +335,8 @@ class BigDawg {
   /// -fsanitize=null false positive ("store to null pointer") when the
   /// member is written from another translation unit.
   static ExecContext*& ActiveCtx();
+  /// The running execution's CAST result named `name`, or null.
+  static const ModelValue* CastResult(const std::string& name);
   /// Guards assoc_store_: unlike the engines, which synchronize
   /// internally, the middleware-resident associative store is a plain
   /// map. The accessor above is for single-threaded loading only.

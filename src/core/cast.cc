@@ -47,6 +47,20 @@ const char* DataModelNameForEngine(const std::string& engine) {
   return "relation";
 }
 
+Result<ModelValue> CastTableTo(const relational::Table& table, DataModel model) {
+  if (model == DataModel::kRelation) return ModelValue(table);
+  if (model == DataModel::kAssociative) {
+    BIGDAWG_ASSIGN_OR_RETURN(d4m::AssocArray assoc, TableToAssoc(table));
+    return ModelValue(std::move(assoc));
+  }
+  BIGDAWG_ASSIGN_OR_RETURN(array::Array a, TableToArray(table));
+  if (model == DataModel::kTileMatrix) {
+    BIGDAWG_ASSIGN_OR_RETURN(tiledb::TileDbArray m, ArrayToTileMatrix(a));
+    BIGDAWG_ASSIGN_OR_RETURN(a, TileMatrixToArray(m));
+  }
+  return ModelValue(std::move(a));
+}
+
 namespace {
 
 /// Splits a relation's columns into int64 dimensions and double

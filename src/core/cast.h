@@ -2,6 +2,7 @@
 #define BIGDAWG_CORE_CAST_H_
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "array/array.h"
@@ -22,6 +23,15 @@ const char* DataModelToString(DataModel model);
 /// engines surface their data relationally through the shims). Used to
 /// label the `from` side of CAST trace spans.
 const char* DataModelNameForEngine(const std::string& engine);
+
+/// \brief An object in one of the three in-memory data models. Every
+/// alternative is a copy-on-write handle, so copies share blocks.
+using ModelValue = std::variant<relational::Table, array::Array, d4m::AssocArray>;
+
+/// \brief A relation converted into `model` the way storing it on that
+/// model's engine converts it. A tile matrix is held as the array view
+/// the tile engine serves, so a source that is no 2-D matrix still fails.
+Result<ModelValue> CastTableTo(const relational::Table& table, DataModel model);
 
 // ---------------------------------------------------------------------------
 // Direct (in-memory, binary) casts — the efficient path the paper calls

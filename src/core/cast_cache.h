@@ -14,12 +14,10 @@
 #include <variant>
 #include <vector>
 
-#include "array/array.h"
 #include "common/result.h"
-#include "d4m/assoc_array.h"
+#include "core/cast.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "relational/table.h"
 
 namespace bigdawg::core {
 
@@ -187,8 +185,7 @@ class CastCache {
  private:
   /// The copy-on-write handles themselves: a hit shares the cached block,
   /// and a caller's first write thaws a private clone.
-  using CachedValue =
-      std::variant<relational::Table, array::Array, d4m::AssocArray>;
+  using CachedValue = ModelValue;
 
   /// One in-progress computation; waiters block on `cv` until `done`.
   struct Flight {

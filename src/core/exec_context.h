@@ -3,10 +3,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
+#include "core/cast.h"
 #include "obs/clock.h"
 
 namespace bigdawg::obs {
@@ -17,21 +18,17 @@ namespace bigdawg::core {
 
 /// \brief Per-execution state for one top-level BigDawg::Execute call.
 ///
-/// Each concurrent execution carries its own context, so CAST temporary
-/// objects (their names, ownership, and cleanup) never collide across
-/// clients. The query service threads one context per submitted query
-/// with the session id baked into `temp_prefix`; the plain
-/// BigDawg::Execute(query) overload creates an anonymous context with a
-/// process-unique prefix internally.
+/// Each concurrent execution carries its own context, so CAST results
+/// never leak across clients. The query service threads one context per
+/// submitted query; the plain BigDawg::Execute(query) overload creates an
+/// anonymous one internally.
 struct ExecContext {
-  /// Namespace for CAST temp objects. Must be unique among live contexts
-  /// and start with "__cast_" (the monitor ignores that prefix when
-  /// attributing accesses).
-  std::string temp_prefix = "__cast_";
-  int64_t temp_counter = 0;
-  /// Temp objects created by this execution; dropped when the outermost
-  /// Execute finishes (depth returns to zero).
-  std::vector<std::string> temporaries;
+  /// This execution's CAST results, by the name that replaced each
+  /// CAST(...) in the query text. BigDawg's fetch path checks it before
+  /// the catalog, so islands read a CAST result like any object and no
+  /// engine or catalog entry is written. Nested executions share it; the
+  /// outermost Execute empties it when it finishes.
+  std::map<std::string, ModelValue> overlay;
   /// Nesting depth of Execute() — CAST arguments may themselves be
   /// island-scoped subqueries.
   int depth = 0;
@@ -51,7 +48,7 @@ struct ExecContext {
 
   /// How the cast cache served the most recent Fetch* call on this
   /// context: "hit", "miss", "coalesced", or null when the cache was not
-  /// consulted (native same-model read, temp object, or cache disabled).
+  /// consulted (native same-model read, CAST result, or cache disabled).
   /// RewriteCasts resets it before each fetch and copies it onto the
   /// cast span's `cache` tag.
   const char* cast_cache_outcome = nullptr;
@@ -75,10 +72,6 @@ struct ExecContext {
   /// affinities) and never root a trace in the process tracer, so the
   /// client-facing statistics describe only real queries.
   bool shadow = false;
-
-  std::string NextTempName() {
-    return temp_prefix + std::to_string(temp_counter++);
-  }
 
   /// Cancelled / DeadlineExceeded when the query should stop; OK otherwise.
   Status Check() const {

@@ -172,8 +172,9 @@ Result<array::Array> ArrayIsland::ExecuteToArray(const std::string& query) {
   if (degenerate_) {
     return engines_.array->Query(query);
   }
-  // Shim pass: stage every referenced catalog object into a scratch array
-  // engine (casting non-array objects), then run the AFL query there.
+  // Shim pass: stage every referenced object (catalog object or CAST
+  // result) into a scratch array engine, casting non-array objects, then
+  // run the AFL query there.
   BIGDAWG_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(query));
   // Global `aggregate(NAME, FUNC, ATTR)` over a sharded scidb-homed array
   // runs as per-shard partials — each shard scans only its fragment — and
@@ -200,7 +201,10 @@ Result<array::Array> ArrayIsland::ExecuteToArray(const std::string& query) {
     // Operator names are identifiers followed by '('.
     if (i + 1 < tokens.size() && tokens[i + 1].IsSymbol("(")) continue;
     const std::string& name = tokens[i].text;
-    if (staged.count(name) > 0 || !catalog_->Contains(name)) continue;
+    if (staged.count(name) > 0 ||
+        !(catalog_->Contains(name) || is_cast_result_(name))) {
+      continue;
+    }
     BIGDAWG_ASSIGN_OR_RETURN(array::Array a, fetcher_(name));
     BIGDAWG_RETURN_NOT_OK(scratch.PutArray(name, std::move(a)));
     staged.insert(name);

@@ -86,15 +86,20 @@ class RelationalIsland final : public Island {
 };
 
 /// \brief The array island: AFL-style functional queries; non-array
-/// catalog objects are shimmed in by CAST-to-array.
+/// catalog objects are shimmed in by CAST-to-array. `is_cast_result`
+/// names the running execution's CAST results, which it reads through
+/// the fetcher like catalog objects.
 class ArrayIsland final : public Island {
  public:
   ArrayIsland(std::string name, EngineSet engines, Catalog* catalog,
-              ArrayFetcher fetcher, bool degenerate)
+              ArrayFetcher fetcher,
+              std::function<bool(const std::string&)> is_cast_result,
+              bool degenerate)
       : name_(std::move(name)),
         engines_(engines),
         catalog_(catalog),
         fetcher_(std::move(fetcher)),
+        is_cast_result_(std::move(is_cast_result)),
         degenerate_(degenerate) {}
 
   std::string name() const override { return name_; }
@@ -120,6 +125,7 @@ class ArrayIsland final : public Island {
   EngineSet engines_;
   Catalog* catalog_;
   ArrayFetcher fetcher_;
+  std::function<bool(const std::string&)> is_cast_result_;
   bool degenerate_;
 };
 

@@ -100,9 +100,21 @@ Result<bool> FindFirstCast(const std::string& text, CastSite* site) {
   return false;
 }
 
+/// The multi-engine island to CAST in instead of `island`, or null when
+/// `island` reads CAST results. Single-engine islands read only their
+/// own engine's objects.
+const char* CastCapableIslandFor(const std::string& island) {
+  if (island == "SCIDB") return "ARRAY";
+  if (island == "POSTGRES" || island == "TEXT" || island == "STREAM") {
+    return "RELATIONAL";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-Result<std::string> BigDawg::RewriteCasts(const std::string& query,
+Result<std::string> BigDawg::RewriteCasts(const std::string& island,
+                                          const std::string& query,
                                           ExecContext* ctx) {
   std::string text = query;
   while (true) {
@@ -110,6 +122,12 @@ Result<std::string> BigDawg::RewriteCasts(const std::string& query,
     CastSite site;
     BIGDAWG_ASSIGN_OR_RETURN(bool found, FindFirstCast(text, &site));
     if (!found) break;
+    if (const char* use = CastCapableIslandFor(island)) {
+      return Status::InvalidArgument(
+          "CAST is not available inside " + island + "(...), which reads "
+          "only its own engine's objects; scope the query to the "
+          "multi-engine " + std::string(use) + " island instead");
+    }
 
     obs::SpanGuard cast_span(ctx->trace, "cast");
     const bool traced = ctx->trace != nullptr;
@@ -141,7 +159,9 @@ Result<std::string> BigDawg::RewriteCasts(const std::string& query,
     }
     BIGDAWG_ASSIGN_OR_RETURN(DataModel model, DataModelFromString(site.arg1));
 
-    std::string temp_name = ctx->NextTempName();
+    // Nothing leaves the overlay mid-execution, so its size numbers the
+    // names uniquely.
+    std::string name = "__overlay" + std::to_string(ctx->overlay.size());
     if (traced) {
       cast_span.Tag("to", DataModelToString(model));
       cast_span.Tag("rows", std::to_string(source.num_rows()));
@@ -152,13 +172,14 @@ Result<std::string> BigDawg::RewriteCasts(const std::string& query,
                     std::to_string(ctx->cast_cache_bytes >= 0
                                        ? ctx->cast_cache_bytes
                                        : source.ByteSize()));
-      cast_span.Tag("temp", temp_name);
+      cast_span.Tag("temp", name);
       if (ctx->cast_cache_outcome != nullptr) {
         cast_span.Tag("cache", ctx->cast_cache_outcome);
       }
     }
-    BIGDAWG_RETURN_NOT_OK(StoreTableAs(source, model, temp_name, ctx));
-    text = text.substr(0, site.begin) + temp_name + text.substr(site.end);
+    BIGDAWG_ASSIGN_OR_RETURN(ModelValue value, CastTableTo(source, model));
+    ctx->overlay.emplace(name, std::move(value));
+    text = text.substr(0, site.begin) + name + text.substr(site.end);
   }
   return text;
 }
@@ -205,8 +226,8 @@ Status BigDawg::PlanCastsInto(const std::string& query,
     }
     steps->push_back(std::move(step));
 
-    // Splice the site out (as execution would with a temp name) and keep
-    // scanning for later CAST sites.
+    // Splice the site out (as execution would with an overlay name) and
+    // keep scanning for later CAST sites.
     text = text.substr(0, site.begin) + "__plan_" +
            std::to_string(placeholder++) + text.substr(site.end);
   }
@@ -232,7 +253,8 @@ Result<relational::Table> BigDawg::ExecuteScoped(const std::string& island_name,
     if (!engine.empty()) scope_span.Tag("engine", engine);
   }
 
-  BIGDAWG_ASSIGN_OR_RETURN(std::string rewritten, RewriteCasts(inner_query, ctx));
+  BIGDAWG_ASSIGN_OR_RETURN(std::string rewritten,
+                           RewriteCasts(island_name, inner_query, ctx));
   BIGDAWG_RETURN_NOT_OK(ctx->Check());
 
   // The island's own compute engine must be reachable: a down engine
@@ -264,7 +286,7 @@ Result<relational::Table> BigDawg::ExecuteScoped(const std::string& island_name,
       for (const Token& tok : *tokens) {
         if (tok.type != TokenType::kIdentifier) continue;
         if (!seen.insert(tok.text).second) continue;
-        if (catalog_.Contains(tok.text) && !StartsWith(tok.text, "__cast_")) {
+        if (catalog_.Contains(tok.text)) {
           monitor_.RecordAccess(tok.text, island_name, elapsed_ms);
         }
       }
@@ -275,11 +297,6 @@ Result<relational::Table> BigDawg::ExecuteScoped(const std::string& island_name,
 
 Result<relational::Table> BigDawg::Execute(const std::string& query) {
   ExecContext ctx;
-  // Process-unique namespace so concurrent anonymous executions cannot
-  // collide on temp names.
-  ctx.temp_prefix =
-      "__cast_c" + std::to_string(ctx_seq_.fetch_add(1, std::memory_order_relaxed)) +
-      "_";
   return Execute(query, &ctx);
 }
 
@@ -295,26 +312,22 @@ Result<relational::Table> BigDawg::Execute(const std::string& query,
     ctx->trace = owned_trace.get();
   }
 
-  // CAST temporaries created anywhere in this (possibly nested) execution
-  // are dropped when the outermost Execute finishes — results are always
-  // materialized tables, so temps never outlive the query.
-  // The guard also publishes this execution's context to the thread
-  // (ActiveCtx()), so engine shims reached through context-free island
-  // fetchers can stamp resilience bookkeeping onto it.
+  // The guard publishes this execution's context to the thread
+  // (ActiveCtx()), so reads through context-free island fetchers find its
+  // CAST results and stamp resilience bookkeeping onto it. The outermost
+  // Execute empties the overlay on exit, so a reused context starts empty.
   struct DepthGuard {
-    BigDawg* dawg;
     ExecContext* ctx;
     ExecContext* prev_active;
-    DepthGuard(BigDawg* d, ExecContext* c)
-        : dawg(d), ctx(c), prev_active(ActiveCtx()) {
+    explicit DepthGuard(ExecContext* c) : ctx(c), prev_active(ActiveCtx()) {
       ActiveCtx() = c;
       ++ctx->depth;
     }
     ~DepthGuard() {
-      if (--ctx->depth == 0) dawg->ClearTemporaries(ctx);
+      if (--ctx->depth == 0) ctx->overlay.clear();
       ActiveCtx() = prev_active;
     }
-  } guard(this, ctx);
+  } guard(ctx);
 
   Result<relational::Table> result = [&]() -> Result<relational::Table> {
     BIGDAWG_RETURN_NOT_OK(ctx->Check());

@@ -7,7 +7,6 @@
 #include "common/lexer.h"
 #include "common/logging.h"
 #include "common/macros.h"
-#include "common/string_util.h"
 #include "core/catalog.h"
 #include "core/monitor.h"
 #include "exec/query_service.h"
@@ -109,7 +108,6 @@ std::optional<AdaptivePlacement::ShadowJob> AdaptivePlacement::BuildJob(
   job.island = island;
   for (const Token& tok : *tokens) {
     if (tok.type != TokenType::kIdentifier) continue;
-    if (StartsWith(tok.text, "__cast_")) continue;
     if (!dawg_->catalog().Contains(tok.text)) continue;
     job.object = tok.text;
     break;
@@ -155,7 +153,6 @@ void AdaptivePlacement::OnQueryCompleted(const std::string& query,
     if (!tokens.ok()) return;
     for (const Token& tok : *tokens) {
       if (tok.type != TokenType::kIdentifier) continue;
-      if (StartsWith(tok.text, "__cast_")) continue;
       if (!dawg_->catalog().Contains(tok.text)) continue;
       object = tok.text;
       break;
@@ -250,9 +247,6 @@ void AdaptivePlacement::ExecuteDecision(const core::PlacementDecision& decision)
 
 Result<double> AdaptivePlacement::TimedRun(const std::string& query) {
   core::ExecContext ctx;
-  ctx.temp_prefix =
-      "__cast_shdw" +
-      std::to_string(shadow_seq_.fetch_add(1, std::memory_order_relaxed)) + "_";
   ctx.shadow = true;
   ctx.clock = clock_;
   ctx.cancelled = &stop_;
@@ -327,7 +321,7 @@ Status AdaptivePlacement::RunShadow(const ShadowJob& job) {
   Result<double> candidate = Status::Internal("candidate not attempted");
   if (baseline.ok()) {
     const std::string copy_name =
-        "__cast_shadow" +
+        "__shadow" +
         std::to_string(shadow_seq_.fetch_add(1, std::memory_order_relaxed)) +
         "_" + job.object;
     Status copied = dawg_->CopyObjectTo(job.object, job.candidate, copy_name);

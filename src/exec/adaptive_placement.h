@@ -151,9 +151,8 @@ class AdaptivePlacement {
     std::string candidate;
   };
 
-  /// The object this query reads (first catalog identifier, temp names
-  /// skipped) and its candidate engine; nullopt when nothing is eligible
-  /// for shadowing.
+  /// The object this query reads (its first catalog identifier) and its
+  /// candidate engine; nullopt when nothing is eligible for shadowing.
   std::optional<ShadowJob> BuildJob(const std::string& query,
                                     const std::string& island) const;
   /// The full gated shadow: breaker/load/budget consults, timed baseline

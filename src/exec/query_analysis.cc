@@ -1,5 +1,6 @@
 #include "exec/query_analysis.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/lexer.h"
@@ -59,7 +60,8 @@ bool SplitIslandPrefix(const std::string& query,
 
 QueryPlan AnalyzeQuery(core::BigDawg& dawg, const std::string& query) {
   QueryPlan plan;
-  SplitIslandPrefix(query, dawg.ListIslands(), &plan.island);
+  const std::vector<std::string> islands = dawg.ListIslands();
+  SplitIslandPrefix(query, islands, &plan.island);
 
   Result<std::vector<Token>> tokens = Tokenize(query);
   if (!tokens.ok()) {
@@ -73,12 +75,15 @@ QueryPlan AnalyzeQuery(core::BigDawg& dawg, const std::string& query) {
   const core::Catalog& catalog = dawg.catalog();
   for (size_t i = 0; i < tokens->size(); ++i) {
     const Token& tok = (*tokens)[i];
-    if (tok.IsKeyword("CAST") && i + 1 < tokens->size() &&
-        (*tokens)[i + 1].IsSymbol("(")) {
-      plan.has_cast = true;
-    }
     if (IsWriteKeyword(tok)) plan.is_write = true;
     if (tok.type != TokenType::kIdentifier) continue;
+    // Every island scope, nested ones included (a CAST source may be a
+    // subquery on another island), reads that island's engines.
+    if (i + 1 < tokens->size() && (*tokens)[i + 1].IsSymbol("(") &&
+        std::find(islands.begin(), islands.end(), ToUpper(tok.text)) !=
+            islands.end()) {
+      referenced |= IslandBaseEngines(ToUpper(tok.text));
+    }
     Result<core::ObjectLocation> loc = catalog.Lookup(tok.text);
     if (!loc.ok()) continue;
     referenced |= EngineLockBitFor(loc->engine);
@@ -88,12 +93,7 @@ QueryPlan AnalyzeQuery(core::BigDawg& dawg, const std::string& query) {
     }
   }
 
-  if (plan.has_cast) {
-    // CAST materializes temporaries on whichever engines the target
-    // models live on, and nested scoped subqueries may cast further:
-    // conservative exclusive set.
-    plan.exclusive_engines = kLockAllEngines;
-  } else if (plan.is_write) {
+  if (plan.is_write) {
     // DDL/DML goes through a degenerate island straight into its engine.
     plan.exclusive_engines = referenced;
   } else {

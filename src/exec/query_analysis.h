@@ -14,13 +14,12 @@ namespace bigdawg::exec {
 struct QueryPlan {
   /// Resolved SCOPE island (RELATIONAL when the query is unscoped).
   std::string island = "RELATIONAL";
-  bool has_cast = false;
   bool is_write = false;
-  /// Engines the query may read (island's engines + homes and replicas
-  /// of every referenced catalog object).
+  /// Engines the query may read: the base engines of every island scope
+  /// in it, nested ones included, plus the homes and replicas of every
+  /// referenced catalog object. (CAST writes no engine.)
   uint32_t shared_engines = 0;
-  /// Engines the query mutates. CAST-containing and write queries lock
-  /// conservatively (CAST temporaries may materialize on any engine).
+  /// Engines the query mutates (DDL/DML through a degenerate island).
   uint32_t exclusive_engines = 0;
 };
 

@@ -292,15 +292,8 @@ Result<QueryHandle> QueryService::Submit(const std::string& query,
             return lock_mgr_.Acquire(plan.shared_engines, plan.exclusive_engines);
           }();
 
+          // Cancellation/deadline are re-checked inside Execute.
           core::ExecContext ctx;
-          // Session id + query id make the temp namespace unique across all
-          // live executions; the "__cast_" lead keeps the monitor skipping
-          // temp names. Cancellation/deadline are re-checked inside Execute.
-          ctx.temp_prefix =
-              "__cast_s" +
-              (opts.session == kNoSession ? std::string("a")
-                                          : std::to_string(opts.session)) +
-              "_q" + std::to_string(id) + "_";
           ctx.cancelled = &state->cancelled;
           ctx.has_deadline = has_deadline;
           ctx.deadline = deadline;

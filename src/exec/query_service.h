@@ -75,8 +75,8 @@ struct QueryServiceConfig {
 };
 
 struct SubmitOptions {
-  /// Session the query belongs to (temp-object namespace); kNoSession
-  /// for one-off queries.
+  /// Session the query belongs to (admission checks it is open; the
+  /// slow-query log records it); kNoSession for one-off queries.
   int64_t session = kNoSession;
   /// Per-query deadline in ms; < 0 uses the service default, 0 = none.
   double timeout_ms = -1;
@@ -147,15 +147,15 @@ class QueryHandle {
 /// Accepts queries from many client threads and runs them safely over
 /// one shared BigDawg:
 ///
-///  * Sessions give each client a private CAST temp-object namespace, so
-///    concurrent cross-model queries cannot collide.
+///  * Each query keeps its CAST results in its own core::ExecContext,
+///    so concurrent cross-model queries never see each other's.
 ///  * Admission control bounds queued + running work; past the limit,
 ///    Submit returns a typed ResourceExhausted instead of growing memory
 ///    without bound. Per-query deadlines and cooperative cancellation
 ///    ride on the same path.
-///  * Per-engine reader/writer locks let read-only queries on disjoint
-///    engines proceed in parallel while migrations, replica refreshes,
-///    and CAST stores exclude conflicting work.
+///  * Per-engine reader/writer locks let read-only queries (CAST
+///    queries included: a CAST writes no engine) share engines while
+///    migrations, replica refreshes and DDL/DML exclude conflicting work.
 ///  * Resilient execution: transient engine errors (Unavailable) are
 ///    retried with exponential backoff + decorrelated jitter, budgeted
 ///    against the query's deadline and aborted promptly by Cancel; a

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "common/logging.h"
+#include "obs/clock.h"
 
 namespace bigdawg::core {
 namespace {
@@ -245,22 +249,86 @@ TEST_F(BigDawgTest, CastAndStorePersistsObjects) {
   EXPECT_EQ(table.num_rows(), 24u);
 }
 
-TEST_F(BigDawgTest, CastTemporariesAutoCleanedAfterExecute) {
-  size_t before = dawg_.catalog().List().size();
-  BIGDAWG_CHECK_OK(
-      dawg_.Execute("RELATIONAL(SELECT COUNT(*) AS n FROM CAST(waveforms, relation))")
-          .status());
-  // The temp relation created for the CAST is gone once Execute returns.
-  EXPECT_EQ(dawg_.catalog().List().size(), before);
-  for (const auto& loc : dawg_.catalog().List()) {
-    EXPECT_TRUE(loc.object.find("__cast_") == std::string::npos) << loc.object;
+// Every object the catalog and the engines hold, as one comparable dump.
+std::string EngineAndCatalogState(BigDawg& dawg) {
+  std::string out;
+  for (const ObjectLocation& loc : dawg.catalog().List()) {
+    out += "catalog " + loc.object + "@" + loc.engine + ":" + loc.native_name + "\n";
   }
-  // Nested-scope CASTs clean up too.
-  BIGDAWG_CHECK_OK(dawg_.Execute(
-                           "RELATIONAL(SELECT COUNT(*) AS n FROM "
-                           "CAST(ARRAY(filter(waveforms, hr >= 80)), relation))")
-                       .status());
-  EXPECT_EQ(dawg_.catalog().List().size(), before);
+  for (const std::string& t : dawg.postgres().ListTables()) out += "postgres " + t + "\n";
+  for (const std::string& a : dawg.scidb().ListArrays()) out += "scidb " + a + "\n";
+  for (const std::string& a : dawg.tiledb().ListArrays()) out += "tiledb " + a + "\n";
+  for (const auto& [name, assoc] : dawg.assoc_store()) out += "d4m " + name + "\n";
+  for (const std::string& d : dawg.accumulo().ListDocumentIds()) {
+    out += "accumulo " + d + "\n";
+  }
+  for (const std::string& t : dawg.sstore().ListTables()) out += "sstore " + t + "\n";
+  return out;
+}
+
+TEST_F(BigDawgTest, CastWritesNoEngineOrCatalog) {
+  const std::string before = EngineAndCatalogState(dawg_);
+
+  // A successful CAST.
+  auto cast = dawg_.Execute(
+      "RELATIONAL(SELECT COUNT(*) AS n FROM CAST(waveforms, relation))");
+  ASSERT_TRUE(cast.ok()) << cast.status().ToString();
+  EXPECT_EQ(*cast->At(0, "n"), Value(24));
+  EXPECT_EQ(EngineAndCatalogState(dawg_), before);
+
+  // A nested CAST: the inner result feeds the ARRAY subquery, whose
+  // result the outer CAST hands to the relational island.
+  auto nested = dawg_.Execute(
+      "RELATIONAL(SELECT COUNT(*) AS n FROM CAST(ARRAY(filter(CAST(waveforms, "
+      "array), hr >= 80)), relation))");
+  ASSERT_TRUE(nested.ok()) << nested.status().ToString();
+  EXPECT_EQ(*nested->At(0, "n"), Value(8));
+  EXPECT_EQ(EngineAndCatalogState(dawg_), before);
+
+  // A failed CAST: a 1-D source cannot become a tile matrix.
+  auto failed = dawg_.Execute(
+      "RELATIONAL(SELECT COUNT(*) AS n FROM CAST(RELATIONAL(SELECT "
+      "patient_id, hr FROM waveforms WHERE t = 0), tilematrix))");
+  EXPECT_TRUE(failed.status().IsFailedPrecondition()) << failed.status().ToString();
+  EXPECT_EQ(EngineAndCatalogState(dawg_), before);
+
+  // A CAST cancelled while its source read is in flight: the read
+  // finishes, and the query stops before the island runs. (A native
+  // postgres read, so no cast-cache entry can serve it without parking.)
+  obs::FakeClock clock;
+  dawg_.fault_injector().SetClock(&clock);
+  dawg_.fault_injector().Enable();
+  dawg_.fault_injector().SetLatencyMs(kEnginePostgres, 10);
+  std::atomic<bool> cancelled{false};
+  std::atomic<bool> done{false};
+  ExecContext ctx;
+  ctx.cancelled = &cancelled;
+  std::thread query([&] {
+    auto r = dawg_.Execute(
+        "RELATIONAL(SELECT COUNT(*) AS n FROM CAST(patients, assoc))", &ctx);
+    EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+    done.store(true);
+  });
+  while (clock.sleepers() < 1 && !done.load()) std::this_thread::yield();
+  cancelled.store(true);
+  clock.AdvanceMs(10);
+  query.join();
+  dawg_.fault_injector().Disable();
+  dawg_.fault_injector().SetClock(obs::Clock::System());
+  EXPECT_TRUE(ctx.overlay.empty());
+  EXPECT_EQ(EngineAndCatalogState(dawg_), before);
+}
+
+TEST_F(BigDawgTest, CastSucceedsWhileTheTargetModelsEngineIsDown) {
+  // The CAST result never touches the target model's engine, so d4m
+  // being down does not matter to a CAST into the associative model.
+  dawg_.fault_injector().Enable();
+  dawg_.fault_injector().SetDown(kEngineD4m, true);
+  auto result = dawg_.Execute(
+      "RELATIONAL(SELECT COUNT(*) AS n FROM CAST(patients, assoc))");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // One (row, col, value) triple per non-key cell: 3 patients x 3 columns.
+  EXPECT_EQ(*result->At(0, "n"), Value(9));
 }
 
 TEST_F(BigDawgTest, ErrorsSurfaceCleanly) {
@@ -272,6 +340,18 @@ TEST_F(BigDawgTest, ErrorsSurfaceCleanly) {
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(dawg_.RegisterObject("x", "oracle", "x").IsInvalidArgument());
+  // Single-engine scopes read only their engine's own objects, so they
+  // cannot read a CAST result; the error names the island to use.
+  Status in_postgres =
+      dawg_.Execute("POSTGRES(SELECT * FROM CAST(waveforms, relation))").status();
+  EXPECT_TRUE(in_postgres.IsInvalidArgument()) << in_postgres.ToString();
+  EXPECT_NE(in_postgres.message().find("RELATIONAL"), std::string::npos)
+      << in_postgres.ToString();
+  Status in_scidb =
+      dawg_.Execute("SCIDB(aggregate(CAST(patients, array), avg, age))").status();
+  EXPECT_TRUE(in_scidb.IsInvalidArgument()) << in_scidb.ToString();
+  EXPECT_NE(in_scidb.message().find("ARRAY"), std::string::npos)
+      << in_scidb.ToString();
 }
 
 TEST_F(BigDawgTest, ScopeParsingSurvivesParensInStringLiterals) {

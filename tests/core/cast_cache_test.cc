@@ -314,7 +314,6 @@ TEST_F(CastCacheSingleFlightTest, CoalescedWaiterHonorsCancellation) {
   std::atomic<bool> cancelled{false};
   std::thread waiter([this, &cancelled] {
     ExecContext ctx;
-    ctx.temp_prefix = "__cast_cancel_";
     ctx.cancelled = &cancelled;
     Result<relational::Table> r =
         dawg_.Execute("RELATIONAL(SELECT * FROM CAST(hr, relation))", &ctx);

@@ -253,11 +253,10 @@ TEST_F(ExplainTest, AnalyzeGoldenProfile) {
       "  locks 0.000ms\n"
       "  scope island=ARRAY engine=scidb 0.000ms\n"
       "    cast source=readings from=relation to=array rows=20 bytes=320 "
-      "temp=__cast_sa_q0_0 0.000ms\n"
+      "temp=__overlay0 0.000ms\n"
       "      shim:table object=readings engine=postgres 0.000ms\n"
       "        failover from=postgres to=scidb 0.000ms\n"
       "    exec 0.000ms\n"
-      "      shim:array object=__cast_sa_q0_0 engine=scidb 0.000ms\n"
       "stage totals: attempt=0.000ms backoff=2.000ms cast=0.000ms "
       "exec=0.000ms failover=0.000ms fault=0.000ms locks=0.000ms "
       "scope=0.000ms shim=0.000ms\n"

@@ -33,6 +33,9 @@ void LoadTinyFederation(core::BigDawg* dawg) {
 /// different environments run byte-identical workloads.
 struct Stack {
   explicit Stack(double slow_query_ms = -1) {
+    // The tests below pin tracer-off behaviour, which BIGDAWG_TRACE=1 in
+    // the environment would otherwise override.
+    dawg.tracer().Disable();
     LoadTinyFederation(&dawg);
     service = std::make_unique<QueryService>(
         &dawg, QueryServiceConfig{.num_workers = 1,

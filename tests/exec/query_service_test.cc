@@ -205,9 +205,10 @@ TEST(QueryServiceTest, ConcurrentCastsKeepSeparateTempNamespaces) {
   LoadSmallFederation(&dawg);
   QueryService service(&dawg, {.num_workers = 4});
 
-  // Each client runs the same CAST query under its own session; before
-  // per-execution namespaces these would race on the shared temp
-  // counter / temporaries list.
+  // Each client runs the same CAST query under its own session. Every
+  // execution holds its CAST result in its own context's overlay, so the
+  // clients never see (or free) each other's intermediates.
+  const std::vector<core::ObjectLocation> catalog_before = dawg.catalog().List();
   constexpr int kClients = 4;
   constexpr int kRepeats = 5;
   std::vector<std::thread> clients;
@@ -230,10 +231,11 @@ TEST(QueryServiceTest, ConcurrentCastsKeepSeparateTempNamespaces) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Every CAST temporary was dropped when its execution finished.
-  for (const core::ObjectLocation& loc : dawg.catalog().List()) {
-    EXPECT_NE(loc.object.rfind("__cast_", 0), 0u)
-        << "leaked CAST temporary: " << loc.object;
+  // No CAST wrote the catalog.
+  const std::vector<core::ObjectLocation> catalog_after = dawg.catalog().List();
+  ASSERT_EQ(catalog_after.size(), catalog_before.size());
+  for (size_t i = 0; i < catalog_after.size(); ++i) {
+    EXPECT_EQ(catalog_after[i].object, catalog_before[i].object);
   }
   auto stats = service.Stats();
   EXPECT_EQ(stats.completed, kClients * kRepeats);
@@ -274,7 +276,6 @@ TEST(QueryAnalysisTest, ReadOnlyQueryTakesSharedLocks) {
   LoadSmallFederation(&dawg);
   QueryPlan plan = AnalyzeQuery(dawg, "SELECT name FROM patients");
   EXPECT_EQ(plan.island, "RELATIONAL");
-  EXPECT_FALSE(plan.has_cast);
   EXPECT_FALSE(plan.is_write);
   EXPECT_EQ(plan.exclusive_engines, 0u);
   EXPECT_NE(plan.shared_engines & kLockPostgres, 0u);
@@ -291,13 +292,22 @@ TEST(QueryAnalysisTest, CrossEngineReadSharesBothEngines) {
   EXPECT_NE(plan.shared_engines & kLockSciDb, 0u);
 }
 
-TEST(QueryAnalysisTest, CastQueryLocksConservatively) {
+TEST(QueryAnalysisTest, CastQueriesShareExactlyTheEnginesTheyRead) {
   core::BigDawg dawg;
   LoadSmallFederation(&dawg);
-  QueryPlan plan = AnalyzeQuery(
-      dawg, "RELATIONAL(SELECT COUNT(*) AS n FROM CAST(hr, relation))");
-  EXPECT_TRUE(plan.has_cast);
-  EXPECT_EQ(plan.exclusive_engines, kLockAllEngines);
+  // A CAST writes no engine: the island's engine and the source's home
+  // are read, nothing is locked exclusively, and the target model's
+  // engine (d4m) is not touched at all.
+  QueryPlan plain = AnalyzeQuery(
+      dawg, "RELATIONAL(SELECT COUNT(*) AS n FROM CAST(hr, assoc))");
+  EXPECT_EQ(plain.exclusive_engines, 0u);
+  EXPECT_EQ(plain.shared_engines, kLockPostgres | kLockSciDb);
+
+  // A nested scope reads its own island's engines too.
+  QueryPlan nested = AnalyzeQuery(
+      dawg, "RELATIONAL(SELECT owner FROM CAST(TEXT(SEARCH sick), relation))");
+  EXPECT_EQ(nested.exclusive_engines, 0u);
+  EXPECT_EQ(nested.shared_engines, kLockPostgres | kLockAccumulo);
 }
 
 TEST(QueryAnalysisTest, WriteQueryTakesExclusiveLocks) {

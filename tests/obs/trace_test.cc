@@ -257,8 +257,9 @@ TEST_F(GoldenTraceTest, RetryAndFailoverProduceTheDocumentedSpanTree) {
   // Attempt 1: the CAST's table fetch finds postgres down, fails over,
   // and the scidb replica read eats the injected fault — Unavailable.
   // After exactly one 2 ms backoff, attempt 2 repeats the path: the
-  // failover read succeeds, the cast materializes 20 rows (320 bytes) on
-  // scidb, and the ARRAY island's execute re-fetches the temp natively.
+  // failover read succeeds, the cast hands 20 rows (320 bytes) to the
+  // ARRAY island as an array in the execution's overlay, and the island
+  // reads it from there without touching an engine.
   const std::string kGolden =
       "query 0.000ms +2.000ms island=ARRAY status=OK attempts=2 failovers=1\n"
       "  attempt 0.000ms +0.000ms n=1 error=Unavailable\n"
@@ -273,12 +274,10 @@ TEST_F(GoldenTraceTest, RetryAndFailoverProduceTheDocumentedSpanTree) {
       "    locks 2.000ms +0.000ms\n"
       "    scope 2.000ms +0.000ms island=ARRAY engine=scidb\n"
       "      cast 2.000ms +0.000ms source=readings from=relation to=array "
-      "rows=20 bytes=320 temp=__cast_sa_q0_0\n"
+      "rows=20 bytes=320 temp=__overlay0\n"
       "        shim:table 2.000ms +0.000ms object=readings engine=postgres\n"
       "          failover 2.000ms +0.000ms from=postgres to=scidb\n"
-      "      exec 2.000ms +0.000ms\n"
-      "        shim:array 2.000ms +0.000ms object=__cast_sa_q0_0 "
-      "engine=scidb\n";
+      "      exec 2.000ms +0.000ms\n";
   EXPECT_EQ(DumpSpanTree(traces[0]), kGolden);
 
   // The monitor learns engine/query-class affinity from the same tree:
