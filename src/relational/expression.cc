@@ -229,12 +229,13 @@ std::string BinaryExpr::ToString() const {
 
 Status UnaryExpr::Bind(const Schema& schema) {
   BIGDAWG_RETURN_NOT_OK(operand_->Bind(schema));
-  type_ = (op_ == UnaryOp::kNot) ? DataType::kBool : operand_->output_type();
+  type_ = (op_ == UnaryOp::kNeg) ? operand_->output_type() : DataType::kBool;
   return Status::OK();
 }
 
 Result<Value> UnaryExpr::Eval(const Row& row) const {
   BIGDAWG_ASSIGN_OR_RETURN(Value v, operand_->Eval(row));
+  if (op_ == UnaryOp::kIsNull) return Value(v.is_null());
   if (v.is_null()) return Value::Null();
   if (op_ == UnaryOp::kNot) {
     BIGDAWG_ASSIGN_OR_RETURN(bool b, v.AsBool());
@@ -246,6 +247,7 @@ Result<Value> UnaryExpr::Eval(const Row& row) const {
 }
 
 std::string UnaryExpr::ToString() const {
+  if (op_ == UnaryOp::kIsNull) return "(" + operand_->ToString() + " IS NULL)";
   return std::string(op_ == UnaryOp::kNot ? "NOT " : "-") + operand_->ToString();
 }
 

@@ -29,7 +29,7 @@ enum class BinaryOp {
   kLike,
 };
 
-enum class UnaryOp { kNot, kNeg };
+enum class UnaryOp { kNot, kNeg, kIsNull };
 
 const char* BinaryOpToString(BinaryOp op);
 
@@ -132,7 +132,7 @@ class BinaryExpr final : public Expr {
   DataType type_ = DataType::kNull;
 };
 
-/// \brief NOT / unary minus.
+/// \brief NOT / unary minus / IS NULL.
 class UnaryExpr final : public Expr {
  public:
   UnaryExpr(UnaryOp op, ExprPtr operand) : op_(op), operand_(std::move(operand)) {}

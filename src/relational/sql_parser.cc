@@ -273,6 +273,13 @@ class Parser {
 
   Result<ExprPtr> ParseComparison() {
     BIGDAWG_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
+    if (cur_.ConsumeKeyword("IS")) {
+      const bool negated = cur_.ConsumeKeyword("NOT");
+      BIGDAWG_RETURN_NOT_OK(cur_.ExpectKeyword("NULL"));
+      ExprPtr is_null = std::make_unique<UnaryExpr>(UnaryOp::kIsNull, std::move(left));
+      if (!negated) return is_null;
+      return ExprPtr(std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(is_null)));
+    }
     const Token& tok = cur_.Peek();
     BinaryOp op;
     if (tok.IsSymbol("=")) op = BinaryOp::kEq;

@@ -90,6 +90,18 @@ TEST(ExpressionTest, NullPropagatesThroughArithmetic) {
   EXPECT_EQ(EvalOn("coalesce(x, 9)", schema, r), Value(9));
 }
 
+TEST(ExpressionTest, IsNullNeverYieldsNull) {
+  Schema schema({Field("x", DataType::kInt64)});
+  Row null_row = {Value::Null()};
+  Row one = {Value(1)};
+  EXPECT_EQ(EvalOn("x IS NULL", schema, null_row), Value(true));
+  EXPECT_EQ(EvalOn("x IS NULL", schema, one), Value(false));
+  EXPECT_EQ(EvalOn("x + 1 IS NOT NULL", schema, null_row), Value(false));
+  EXPECT_EQ(EvalOn("(x = 1) IS NULL", schema, null_row), Value(true));
+  EXPECT_EQ((*ParseExpression("x IS NULL"))->ToString(), "(x IS NULL)");
+  EXPECT_FALSE(ParseExpression("x IS 1").ok());
+}
+
 TEST(ExpressionTest, DivisionAndModuloByZero) {
   Schema s = TestSchema();
   ExprPtr e = *ParseExpression("i / 0");
