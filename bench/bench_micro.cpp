@@ -75,6 +75,41 @@ void BM_SqlHashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlHashJoin)->Arg(10000)->Arg(50000);
 
+// The analytic workload's join shape: an aliased equi-join of n labs to
+// n/25 patients, a WHERE on the build side, and a GROUP BY on a string.
+void BM_SqlJoinGroupBy(benchmark::State& state) {
+  relational::Database db;
+  const int64_t n = state.range(0);
+  const int64_t patients = n / 25;
+  Rng rng(2);
+  relational::Table p{Schema({Field("patient_id", DataType::kInt64),
+                              Field("age", DataType::kInt64),
+                              Field("sex", DataType::kString)})};
+  for (int64_t i = 0; i < patients; ++i) {
+    p.AppendUnchecked({Value(i), Value(rng.NextInt(18, 95)),
+                       Value(rng.NextBelow(2) == 0 ? "F" : "M")});
+  }
+  relational::Table labs{Schema({Field("lab_id", DataType::kInt64),
+                                 Field("patient_id", DataType::kInt64),
+                                 Field("value", DataType::kDouble)})};
+  for (int64_t i = 0; i < n; ++i) {
+    labs.AppendUnchecked({Value(i),
+                          Value(static_cast<int64_t>(rng.NextBelow(patients))),
+                          Value(rng.NextDouble(0, 100))});
+  }
+  BIGDAWG_CHECK_OK(db.PutTable("patients", std::move(p)));
+  BIGDAWG_CHECK_OK(db.PutTable("labs", std::move(labs)));
+  for (auto _ : state) {
+    auto result = db.ExecuteSql(
+        "SELECT sex, COUNT(*) AS n, SUM(value) AS s FROM labs l JOIN patients p "
+        "ON l.patient_id = p.patient_id WHERE age >= 50 GROUP BY sex");
+    BIGDAWG_CHECK(result.ok() && result->num_rows() == 2);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SqlJoinGroupBy)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 // One SELECT through relational::ExecuteSelect over `table`, named "t";
 // the statement is parsed once, outside the timed loop.
 void RunSelect(benchmark::State& state, const relational::Table& table,

@@ -2,7 +2,9 @@
 #define BIGDAWG_COMMON_COLUMNAR_H_
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,16 +24,27 @@ inline int64_t ValueByteSize(const Value& v) {
   return 8;
 }
 
-/// \brief One immutable column of a block: contiguous values plus a null
-/// bitmap. Built once per (block, column) and shared by reference — every
-/// later read of the same column is a pointer swap, not a copy.
+/// \brief How a slice stores its cells. A column whose non-null cells all
+/// have the declared type gets one typed array (strings dictionary-coded);
+/// any other column keeps its cells as Values ("mixed").
+enum class SliceKind : uint8_t { kInt64, kDouble, kBool, kString, kMixed };
+
+/// \brief One immutable column of a block: typed contiguous storage plus a
+/// null bitmap. Built once per (block, column) and shared by reference —
+/// every later read of the same column is a pointer swap, not a copy.
+/// Every array is indexed by row number; a NULL row's typed entry is 0
+/// (code 0 for strings) and only the bitmap says it is NULL.
 struct ColumnSlice {
-  std::string name;
   DataType declared_type = DataType::kNull;
-  /// Contiguous per-row values (nulls included, so indices line up with
-  /// row numbers).
-  std::vector<Value> values;
-  /// Bit i set <=> values[i] is null; 64 rows per word.
+  SliceKind kind = SliceKind::kMixed;
+  size_t size = 0;
+  std::vector<int64_t> ints;      // kInt64
+  std::vector<double> doubles;    // kDouble
+  std::vector<uint8_t> bools;     // kBool
+  std::vector<uint32_t> codes;    // kString: index into `dict`
+  std::vector<std::string> dict;  // kString: distinct strings, first appearance first
+  std::vector<Value> values;      // kMixed
+  /// Bit i set <=> row i is null; 64 rows per word.
   std::vector<uint64_t> null_bitmap;
   int64_t null_count = 0;
   /// Sum of ValueByteSize over the column.
@@ -40,6 +53,8 @@ struct ColumnSlice {
   bool IsNull(size_t i) const {
     return (null_bitmap[i >> 6] >> (i & 63)) & 1u;
   }
+  /// Row i as a Value (NULL for a null row).
+  Value ValueAt(size_t i) const;
 };
 
 /// \brief Builds the slice for column `idx` of row-major storage.
@@ -57,26 +72,59 @@ class ColumnView {
       : slice_(std::move(slice)) {}
 
   bool valid() const { return slice_ != nullptr; }
-  size_t size() const { return slice_ == nullptr ? 0 : slice_->values.size(); }
+  size_t size() const { return slice_ == nullptr ? 0 : slice_->size; }
   bool empty() const { return size() == 0; }
 
-  const Value& operator[](size_t i) const { return slice_->values[i]; }
   bool IsNull(size_t i) const { return slice_->IsNull(i); }
   int64_t null_count() const { return slice_ == nullptr ? 0 : slice_->null_count; }
   int64_t byte_size() const { return slice_ == nullptr ? 0 : slice_->byte_size; }
-  const std::string& name() const { return slice_->name; }
   DataType declared_type() const { return slice_->declared_type; }
+  SliceKind kind() const { return slice_->kind; }
 
-  /// Contiguous value storage (for iteration / bulk feeds).
-  const std::vector<Value>& values() const {
-    static const std::vector<Value> kEmpty;
-    return slice_ == nullptr ? kEmpty : slice_->values;
+  /// Row i as a Value (built on the fly; prefer the typed accessors).
+  Value operator[](size_t i) const { return slice_->ValueAt(i); }
+
+  /// Typed accessors for a non-null row of a column declared with that
+  /// type. A mixed slice answers from its Value cells, which must then
+  /// hold the type asked for.
+  int64_t Int64At(size_t i) const {
+    return slice_->kind == SliceKind::kInt64 ? slice_->ints[i]
+                                             : slice_->values[i].int64_unchecked();
   }
-  std::vector<Value>::const_iterator begin() const { return values().begin(); }
-  std::vector<Value>::const_iterator end() const { return values().end(); }
+  double DoubleAt(size_t i) const {
+    return slice_->kind == SliceKind::kDouble ? slice_->doubles[i]
+                                              : slice_->values[i].double_unchecked();
+  }
+  /// The row as a double when it is a non-null int64 or double.
+  std::optional<double> NumericAt(size_t i) const;
 
-  /// Materializing escape hatch for callers that need an owned vector.
-  std::vector<Value> ToVector() const { return values(); }
+  /// Iterates the rows as Values.
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Value;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Value;
+
+    const_iterator(const ColumnSlice* slice, size_t i) : slice_(slice), i_(i) {}
+    Value operator*() const { return slice_->ValueAt(i_); }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const ColumnSlice* slice_;
+    size_t i_;
+  };
+  const_iterator begin() const { return const_iterator(slice_.get(), 0); }
+  const_iterator end() const { return const_iterator(slice_.get(), size()); }
+
+  /// Materializes the column as owned Values.
+  std::vector<Value> ToVector() const;
 
   const std::shared_ptr<const ColumnSlice>& slice() const { return slice_; }
 

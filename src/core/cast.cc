@@ -122,10 +122,10 @@ Result<array::Array> TableToArray(const relational::Table& table,
   std::vector<array::Dimension> dims;
   for (size_t d = 0; d < dim_cols.size(); ++d) {
     const common::ColumnView& view = dim_views[d];
-    int64_t lo = view[0].int64_unchecked();
+    int64_t lo = view.Int64At(0);
     int64_t hi = lo;
     for (size_t r = 1; r < n; ++r) {
-      int64_t coord = view[r].int64_unchecked();
+      int64_t coord = view.Int64At(r);
       lo = std::min(lo, coord);
       hi = std::max(hi, coord);
     }
@@ -170,11 +170,11 @@ Status SetTableCells(const relational::Table& table, array::Array* out) {
   std::vector<double> values(attr_cols.size());
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t d = 0; d < dim_cols.size(); ++d) {
-      coords[d] = dim_views[d][r].int64_unchecked();
+      coords[d] = dim_views[d].Int64At(r);
     }
     for (size_t a = 0; a < attr_cols.size(); ++a) {
       const common::ColumnView& view = attr_views[a];
-      values[a] = view.IsNull(r) ? 0.0 : view[r].double_unchecked();
+      values[a] = view.IsNull(r) ? 0.0 : view.DoubleAt(r);
     }
     BIGDAWG_RETURN_NOT_OK(out->Set(coords, values));
   }

@@ -44,7 +44,7 @@ Result<array::Array> BuildHistory(const std::vector<array::Array>& stored,
   }
   int64_t min_seq = std::numeric_limits<int64_t>::max();
   for (size_t r = 0; r < rows.num_rows(); ++r) {
-    const int64_t seq = seqs[r].int64_unchecked();
+    const int64_t seq = seqs.Int64At(r);
     end = std::max(end, seq + 1);
     min_seq = std::min(min_seq, seq);
   }
@@ -114,7 +114,7 @@ std::optional<int64_t> HistoryLengthAfterAppend(
     common::ColumnView view = rows.ColumnAt(dim_cols[d]);
     if (view.null_count() > 0) return std::nullopt;
     for (size_t r = 0; r < rows.num_rows(); ++r) {
-      const int64_t c = view[r].int64_unchecked();
+      const int64_t c = view.Int64At(r);
       if (c < dims[d].start) return std::nullopt;
       if (d == 0) {
         end = std::max(end, c + 1);

@@ -58,17 +58,23 @@ std::string EncodeTable(const relational::Table& table) {
   for (size_t c = 0; c < schema.num_fields(); ++c) {
     common::ColumnView col = table.ColumnAt(c);
 
-    // Uniform when every non-null cell shares one runtime type; cells may
-    // diverge from the declared type via AppendUnchecked, hence the scan.
+    // Uniform when every non-null cell shares one runtime type. A typed
+    // slice is uniform by construction; cells may diverge from the
+    // declared type via AppendUnchecked, which leaves a mixed slice to scan.
     DataType uniform = DataType::kNull;
     bool mixed = false;
-    for (size_t r = 0; r < n; ++r) {
-      if (col.IsNull(r)) continue;
-      if (uniform == DataType::kNull) {
-        uniform = col[r].type();
-      } else if (col[r].type() != uniform) {
-        mixed = true;
-        break;
+    if (col.kind() != common::SliceKind::kMixed) {
+      if (col.null_count() < static_cast<int64_t>(n)) uniform = col.declared_type();
+    } else {
+      const std::vector<Value>& cells = col.slice()->values;
+      for (size_t r = 0; r < n; ++r) {
+        if (col.IsNull(r)) continue;
+        if (uniform == DataType::kNull) {
+          uniform = cells[r].type();
+        } else if (cells[r].type() != uniform) {
+          mixed = true;
+          break;
+        }
       }
     }
     out.push_back(mixed ? static_cast<char>(kEncodingMixed)
@@ -84,12 +90,29 @@ std::string EncodeTable(const relational::Table& table) {
       common::PutFixed64(&out, word);
     }
 
+    const common::ColumnSlice& slice = *col.slice();
     for (size_t r = 0; r < n; ++r) {
       if (col.IsNull(r)) continue;
-      if (mixed) {
-        common::PutTaggedValue(&out, col[r]);
-      } else {
-        common::PutValuePayload(&out, col[r]);
+      switch (slice.kind) {
+        case common::SliceKind::kInt64:
+          common::PutVarintSigned(&out, slice.ints[r]);
+          break;
+        case common::SliceKind::kDouble:
+          common::PutDouble(&out, slice.doubles[r]);
+          break;
+        case common::SliceKind::kBool:
+          out.push_back(slice.bools[r] != 0 ? 1 : 0);
+          break;
+        case common::SliceKind::kString:
+          common::PutLengthPrefixed(&out, slice.dict[slice.codes[r]]);
+          break;
+        case common::SliceKind::kMixed:
+          if (mixed) {
+            common::PutTaggedValue(&out, slice.values[r]);
+          } else {
+            common::PutValuePayload(&out, slice.values[r]);
+          }
+          break;
       }
     }
   }

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "common/schema.h"
 #include "common/value.h"
+#include "relational/batch.h"
 
 namespace bigdawg::relational {
 
@@ -33,10 +34,11 @@ enum class UnaryOp { kNot, kNeg, kIsNull };
 
 const char* BinaryOpToString(BinaryOp op);
 
-/// \brief A scalar expression tree evaluated per row.
+/// \brief A scalar expression tree, evaluated per row or per batch.
 ///
 /// Usage: build the tree (parser or programmatic), Bind() it against the
-/// input schema once (resolves column references), then Eval() per row.
+/// input schema once (resolves column references), then Eval() per row
+/// or EvalBatch() over a batch with that schema.
 class Expr {
  public:
   virtual ~Expr() = default;
@@ -48,6 +50,14 @@ class Expr {
   /// semantics: any NULL operand yields NULL (except AND/OR shortcuts).
   virtual Result<Value> Eval(const Row& row) const = 0;
 
+  /// Evaluates at the positions `sel` of `batch` into `out` (one entry
+  /// per position, or a scalar). Each entry is what Eval returns on that
+  /// row; AND/OR evaluate their right side only where the left leaves the
+  /// answer open, and `out->error` is the error Eval would raise first in
+  /// position order. Comparisons, arithmetic, AND/OR/NOT and IS NULL run
+  /// as typed kernels; LIKE, string + and functions apply per element.
+  void EvalBatch(const Batch& batch, Selection sel, Vector* out) const;
+
   /// Static result type, valid after Bind().
   virtual DataType output_type() const = 0;
 
@@ -58,6 +68,10 @@ class Expr {
 
   /// Appends the names of every column this expression references.
   virtual void CollectColumnRefs(std::vector<std::string>* out) const = 0;
+
+ protected:
+  /// EvalBatch over a non-empty selection; `out` starts empty.
+  virtual void DoEvalBatch(const Batch& batch, Selection sel, Vector* out) const = 0;
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
@@ -75,6 +89,9 @@ class LiteralExpr final : public Expr {
   void CollectColumnRefs(std::vector<std::string>* out) const override { (void)out; }
 
   const Value& value() const { return value_; }
+
+ protected:
+  void DoEvalBatch(const Batch& batch, Selection sel, Vector* out) const override;
 
  private:
   Value value_;
@@ -96,6 +113,9 @@ class ColumnExpr final : public Expr {
 
   const std::string& name() const { return name_; }
   size_t index() const { return index_; }
+
+ protected:
+  void DoEvalBatch(const Batch& batch, Selection sel, Vector* out) const override;
 
  private:
   std::string name_;
@@ -125,7 +145,13 @@ class BinaryExpr final : public Expr {
   const Expr& left() const { return *left_; }
   const Expr& right() const { return *right_; }
 
+ protected:
+  void DoEvalBatch(const Batch& batch, Selection sel, Vector* out) const override;
+
  private:
+  void EvalLogical(const Batch& batch, Selection sel, Vector* out) const;
+  bool EvalColumnVersusLiteral(const Batch& batch, Selection sel, Vector* out) const;
+
   BinaryOp op_;
   ExprPtr left_;
   ExprPtr right_;
@@ -147,6 +173,9 @@ class UnaryExpr final : public Expr {
   void CollectColumnRefs(std::vector<std::string>* out) const override {
     operand_->CollectColumnRefs(out);
   }
+
+ protected:
+  void DoEvalBatch(const Batch& batch, Selection sel, Vector* out) const override;
 
  private:
   UnaryOp op_;
@@ -172,6 +201,9 @@ class FunctionExpr final : public Expr {
 
   const std::string& name() const { return name_; }
 
+ protected:
+  void DoEvalBatch(const Batch& batch, Selection sel, Vector* out) const override;
+
  private:
   std::string name_;
   std::vector<ExprPtr> args_;
@@ -186,6 +218,9 @@ bool LikeMatch(const std::string& text, const std::string& pattern);
 inline bool IsTrue(const Value& v) {
   return !v.is_null() && v.type() == DataType::kBool && v.bool_unchecked();
 }
+
+/// \brief IsTrue of entry k of a vector.
+bool IsTrue(const Vector& v, size_t k);
 
 /// \brief Appends the conjuncts of `expr`'s top-level AND tree to `out`
 /// (borrowed pointers; a non-AND expression is its own single conjunct).

@@ -110,6 +110,10 @@ struct ExecStats {
   int64_t rows_scanned = 0;
   int64_t intermediate_rows = 0;  // rows flowing out of every operator
   int64_t iterations = 0;
+  /// Rows built as Row objects: by Project, Aggregate, Iterate and the
+  /// plan's output. Scan, Select, Join, Sort, Distinct and Limit pass row
+  /// ids over shared blocks and build none.
+  int64_t rows_materialized = 0;
 };
 
 /// \brief Executes a plan against the resolver. `stats` may be null.

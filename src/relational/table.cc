@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/logging.h"
 #include "common/macros.h"
 
 namespace bigdawg::relational {
@@ -20,8 +21,21 @@ Table::Table(Schema schema, std::vector<Row> rows) {
   rep_ = common::CowPtr<Rep>(std::move(rep));
 }
 
+Table Table::WithSchema(Schema schema) const {
+  BIGDAWG_CHECK(schema.num_fields() == rep_->schema.num_fields());
+  Table out = *this;
+  out.renamed_ = schema == rep_->schema
+                     ? nullptr
+                     : std::make_shared<const Schema>(std::move(schema));
+  return out;
+}
+
 Table::Rep* Table::ThawRep() {
   Rep* rep = rep_.Mutable();
+  if (renamed_ != nullptr) {
+    rep->schema = *renamed_;
+    renamed_.reset();
+  }
   rep->bytes.store(-1, std::memory_order_relaxed);
   if (rep->has_slices.load(std::memory_order_relaxed)) {
     std::lock_guard lock(rep->slice_mu);
@@ -60,7 +74,7 @@ Status Table::Append(Row row) {
 }
 
 Result<common::ColumnView> Table::Column(const std::string& name) const {
-  BIGDAWG_ASSIGN_OR_RETURN(size_t idx, rep_->schema.IndexOf(name));
+  BIGDAWG_ASSIGN_OR_RETURN(size_t idx, schema().IndexOf(name));
   return ColumnAt(idx);
 }
 
@@ -85,12 +99,12 @@ Result<Value> Table::At(size_t row, const std::string& column) const {
     return Status::OutOfRange("row index " + std::to_string(row) + " >= " +
                               std::to_string(rep.rows.size()));
   }
-  BIGDAWG_ASSIGN_OR_RETURN(size_t idx, rep.schema.IndexOf(column));
+  BIGDAWG_ASSIGN_OR_RETURN(size_t idx, schema().IndexOf(column));
   return rep.rows[row][idx];
 }
 
 std::string Table::ToString(size_t max_rows) const {
-  const Schema& schema = rep_->schema;
+  const Schema& schema = this->schema();
   const std::vector<Row>& rows = rep_->rows;
   std::vector<size_t> widths(schema.num_fields());
   std::vector<std::vector<std::string>> cells;

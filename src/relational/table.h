@@ -40,7 +40,7 @@ class Table {
   explicit Table(Schema schema);
   Table(Schema schema, std::vector<Row> rows);
 
-  const Schema& schema() const { return rep_->schema; }
+  const Schema& schema() const { return renamed_ ? *renamed_ : rep_->schema; }
   const std::vector<Row>& rows() const { return rep_->rows; }
   /// Write escape hatch: thaws (clones a shared block) and returns the
   /// exclusively owned row storage.
@@ -66,6 +66,10 @@ class Table {
   /// (1 byte per NULL, string lengths, 8 bytes per scalar), shared by
   /// the cast cache's accounting and CAST trace spans.
   int64_t ByteSize() const;
+
+  /// A handle over this block under `schema`, which must have this
+  /// schema's arity and types: a rename that copies no rows.
+  Table WithSchema(Schema schema) const;
 
   /// True when both handles alias the same block (a zero-copy share).
   bool SharesStorageWith(const Table& other) const {
@@ -111,6 +115,9 @@ class Table {
   Rep* ThawRep();
 
   common::CowPtr<Rep> rep_;
+  /// The schema this handle presents when it differs from the block's
+  /// (WithSchema); null otherwise. Thawing writes it into the block.
+  std::shared_ptr<const Schema> renamed_;
 };
 
 }  // namespace bigdawg::relational

@@ -1,5 +1,7 @@
 #include "stream/window_aggregator.h"
 
+#include <optional>
+
 namespace bigdawg::stream {
 
 void WindowAggregator::Append(double v, int64_t seq) {
@@ -58,9 +60,8 @@ void WindowAggregateBank::AppendColumn(size_t field,
     if (slot.field != field) continue;
     const size_t n = view.size();
     for (size_t i = 0; i < n; ++i) {
-      if (view.IsNull(i)) continue;
-      Result<double> v = view[i].ToNumeric();
-      if (v.ok()) slot.agg.Append(*v, first_seq + static_cast<int64_t>(i));
+      std::optional<double> v = view.NumericAt(i);
+      if (v.has_value()) slot.agg.Append(*v, first_seq + static_cast<int64_t>(i));
     }
     return;
   }
