@@ -63,6 +63,12 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # core/wire_format.
   echo "==== dataplane tier (ctest -L dataplane) ===="
   (cd build && ctest --output-on-failure -L dataplane)
+  # The one relational executor in isolation: operator unit tests, the
+  # golden SELECT corpus of both dialects, the metamorphic (TLP/NoREC)
+  # oracles, and Myria's plans -- quick to rerun when touching
+  # src/relational, src/myria or the column slices in src/common.
+  echo "==== relational executor (ctest -L relational) ===="
+  (cd build && ctest --output-on-failure -L relational)
   # Tier-1 again with the cast-result cache killed: every cross-model
   # fetch takes the uncached path, so a correctness bug that the cache
   # happens to mask (or a test that silently depends on caching) fails
@@ -123,6 +129,11 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   # wire decoder fed truncated/corrupt frames.
   echo "==== AddressSanitizer dataplane tier (ctest -L dataplane) ===="
   (cd build-asan && ctest --output-on-failure -L dataplane)
+  # The batch kernels under ASan/UBSan: an out-of-bounds gather through a
+  # row-id vector, or a signed int64 overflow in arithmetic or SUM, fails
+  # here rather than silently.
+  echo "==== AddressSanitizer relational executor (ctest -L relational) ===="
+  (cd build-asan && ctest --output-on-failure -L relational)
 fi
 
 echo "==== all checks passed ===="

@@ -118,11 +118,4 @@ std::optional<double> ColumnView::NumericAt(size_t i) const {
   }
 }
 
-std::vector<Value> ColumnView::ToVector() const {
-  std::vector<Value> out;
-  out.reserve(size());
-  for (size_t i = 0; i < size(); ++i) out.push_back(slice_->ValueAt(i));
-  return out;
-}
-
 }  // namespace bigdawg::common

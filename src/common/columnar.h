@@ -29,6 +29,10 @@ inline int64_t ValueByteSize(const Value& v) {
 /// any other column keeps its cells as Values ("mixed").
 enum class SliceKind : uint8_t { kInt64, kDouble, kBool, kString, kMixed };
 
+inline bool IsNumericKind(SliceKind kind) {
+  return kind == SliceKind::kInt64 || kind == SliceKind::kDouble;
+}
+
 /// \brief One immutable column of a block: typed contiguous storage plus a
 /// null bitmap. Built once per (block, column) and shared by reference —
 /// every later read of the same column is a pointer swap, not a copy.
@@ -122,9 +126,6 @@ class ColumnView {
   };
   const_iterator begin() const { return const_iterator(slice_.get(), 0); }
   const_iterator end() const { return const_iterator(slice_.get(), size()); }
-
-  /// Materializes the column as owned Values.
-  std::vector<Value> ToVector() const;
 
   const std::shared_ptr<const ColumnSlice>& slice() const { return slice_; }
 

@@ -102,6 +102,10 @@ void ForEachRow(const Batch::Column& col, Selection sel, F&& f) {
 /// to the selection's k-th position. `scalar` vectors hold one entry that
 /// stands for every position (literals and expressions of literals).
 ///
+/// String entries point into a slice dictionary of the evaluated batch's
+/// blocks or into a literal of the expression, so a Vector must not
+/// outlive either.
+///
 /// Evaluation stops at the first error in position order: entries
 /// [0, error_at) are defined and `error` is the status the row at
 /// error_at raised. Later stages of an expression evaluate only that
@@ -115,9 +119,8 @@ struct Vector {
   std::vector<uint8_t> bools;            // kBool
   std::vector<int64_t> ints;             // kInt64
   std::vector<double> doubles;           // kDouble
-  std::vector<const std::string*> strings;  // kString, into `keep_alive`
+  std::vector<const std::string*> strings;  // kString
   std::vector<Value> values;             // kMixed
-  std::shared_ptr<const void> keep_alive;
 
   size_t error_at = std::numeric_limits<size_t>::max();
   Status error;

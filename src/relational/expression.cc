@@ -10,6 +10,7 @@
 
 namespace bigdawg::relational {
 
+using common::IsNumericKind;
 using common::SliceKind;
 
 const char* BinaryOpToString(BinaryOp op) {
@@ -73,10 +74,6 @@ bool IsArithmetic(BinaryOp op) {
     default:
       return false;
   }
-}
-
-bool IsNumericKind(SliceKind kind) {
-  return kind == SliceKind::kInt64 || kind == SliceKind::kDouble;
 }
 
 bool CompareResult(BinaryOp op, int c) {
@@ -411,7 +408,6 @@ void ColumnExpr::DoEvalBatch(const Batch& batch, Selection sel, Vector* out) con
   const Batch::Column col = batch.ColumnAt(index_);
   const common::ColumnSlice& slice = *col.slice;
   out->Reset(slice.kind, sel.size, false);
-  out->keep_alive = col.slice;
   switch (slice.kind) {
     case SliceKind::kInt64: {
       int64_t* ints = out->ints.data();

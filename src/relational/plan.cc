@@ -242,6 +242,7 @@ Result<Schema> PlanSchema(const PlanNode& plan, const CatalogStats& catalog) {
 
 namespace {
 
+using common::IsNumericKind;
 using common::SliceKind;
 using RowSet = std::unordered_set<Row, RowHash>;
 
@@ -263,10 +264,6 @@ int64_t AppendUnseen(const std::vector<Row>& rows, RowSet* seen, Table* out) {
 
 int64_t* Materialized(ExecStats* stats) {
   return stats != nullptr ? &stats->rows_materialized : nullptr;
-}
-
-bool IsNumericKind(SliceKind kind) {
-  return kind == SliceKind::kInt64 || kind == SliceKind::kDouble;
 }
 
 // A numeric cell's key code: equal codes iff the cells are Value-equal
@@ -698,10 +695,10 @@ Result<Batch> ExecuteJoin(const PlanNode& node, const Batch& left, const Batch& 
   return Batch::Concat(left.Take(left_ids), right.Take(right_ids), std::move(combined));
 }
 
-// One aggregate item's state in every group, in the feed/get shape: Feed
-// takes a whole vector of argument values at once, Get finalizes a group.
-// Each function keeps only the state it reads. SUM and AVG add in row
-// order (int64 SUM in 128 bits), and MIN/MAX keep the first of equal
+// One aggregate item's state in every group, in the feed/get shape: a
+// Feed takes a whole argument vector or column at once, Get finalizes a
+// group. Each function keeps only the state it reads. SUM and AVG add in
+// row order (int64 SUM in 128 bits), and MIN/MAX keep the first of equal
 // values as Value::Compare orders them.
 class AggColumn {
  public:
@@ -712,20 +709,31 @@ class AggColumn {
       all_int_.assign(groups, 1);
     }
     if (func == AggregateFunc::kMin || func == AggregateFunc::kMax) {
-      best_.assign(groups, kNone);
+      extreme_.resize(groups);
     }
   }
 
-  // Feeds positions 0..n-1 of `v`; group ids from `gid` (null: group 0).
-  // `v` must outlive every Get.
+  // Feeds entries 0..n-1 of a computed argument; group ids from `gid`
+  // (null: every entry is in group 0).
   void Feed(const Vector& v, size_t n, const uint32_t* gid) {
-    fed_ = &v;
-    if (v.scalar || !IsNumericKind(v.kind)) {
-      FeedValues(v, n, gid);
-    } else if (v.kind == SliceKind::kInt64) {
-      FeedNumbers(v.ints.data(), v.nulls.data(), n, gid);
+    auto is_null = [&v](size_t k) { return v.IsNull(k); };
+    if (!v.scalar && v.kind == SliceKind::kInt64) {
+      FeedNumbers(v.ints.data(), Identity, is_null, n, gid);
+    } else if (!v.scalar && v.kind == SliceKind::kDouble) {
+      FeedNumbers(v.doubles.data(), Identity, is_null, n, gid);
     } else {
-      FeedNumbers(v.doubles.data(), v.nulls.data(), n, gid);
+      FeedValues([&v](size_t k) { return v.Get(k); }, is_null, n, gid);
+    }
+  }
+
+  // Feeds a column argument at batch positions 0..n-1, straight off its
+  // slice.
+  void Feed(const Batch::Column& col, size_t n, const uint32_t* gid) {
+    if (col.rows == nullptr) {
+      FeedSlice(*col.slice, Identity, n, gid);
+    } else {
+      FeedSlice(*col.slice, [rows = col.rows](size_t k) -> size_t { return rows[k]; }, n,
+                gid);
     }
   }
 
@@ -746,7 +754,7 @@ class AggColumn {
         return Value(sum_[g] / static_cast<double>(count_[g]));
       case AggregateFunc::kMin:
       case AggregateFunc::kMax:
-        return best_[g] == kNone ? Value::Null() : fed_->Get(best_[g]);
+        return extreme_[g];
       case AggregateFunc::kNone:
         break;
     }
@@ -754,14 +762,29 @@ class AggColumn {
   }
 
  private:
+  static size_t Identity(size_t k) { return k; }
   bool Sums() const { return !sum_.empty(); }
-  bool Extremes() const { return !best_.empty(); }
+  bool Extremes() const { return !extreme_.empty(); }
   bool Better(int c) const { return func_ == AggregateFunc::kMin ? c < 0 : c > 0; }
 
-  // A numeric vector (int64 or double storage `x`). Extremes compare as
-  // doubles, the order Value::Compare gives numbers.
-  template <typename T>
-  void FeedNumbers(const T* x, const uint8_t* nulls, size_t n, const uint32_t* gid) {
+  template <typename Index>
+  void FeedSlice(const common::ColumnSlice& slice, Index index, size_t n,
+                 const uint32_t* gid) {
+    const bool has_nulls = slice.null_count > 0;
+    auto is_null = [&](size_t k) { return has_nulls && slice.IsNull(index(k)); };
+    if (slice.kind == SliceKind::kInt64) {
+      FeedNumbers(slice.ints.data(), index, is_null, n, gid);
+    } else if (slice.kind == SliceKind::kDouble) {
+      FeedNumbers(slice.doubles.data(), index, is_null, n, gid);
+    } else {
+      FeedValues([&](size_t k) { return slice.ValueAt(index(k)); }, is_null, n, gid);
+    }
+  }
+
+  // Numbers x[index(k)]. Extremes compare as doubles, the order
+  // Value::Compare gives numbers.
+  template <typename T, typename Index, typename IsNull>
+  void FeedNumbers(const T* x, Index index, IsNull is_null, size_t n, const uint32_t* gid) {
     constexpr bool kInts = std::is_same_v<T, int64_t>;
     if (Sums() && gid == nullptr) {
       // One group: accumulate in registers.
@@ -769,32 +792,33 @@ class AggColumn {
       double sum = sum_[0];
       __int128 isum = isum_[0];
       for (size_t k = 0; k < n; ++k) {
-        if (nulls[k]) continue;
+        if (is_null(k)) continue;
+        const T v = x[index(k)];
         ++count;
-        sum += static_cast<double>(x[k]);
-        if constexpr (kInts) isum += x[k];
+        sum += static_cast<double>(v);
+        if constexpr (kInts) isum += v;
       }
       count_[0] += count;
       sum_[0] = sum;
       isum_[0] = isum;
-      if (!kInts && count > 0) all_int_[0] = 0;
-      return;
-    }
-    for (size_t k = 0; k < n; ++k) {
-      if (nulls[k]) continue;
-      const size_t g = gid != nullptr ? gid[k] : 0;
-      ++count_[g];
-      if (Sums()) {
-        sum_[g] += static_cast<double>(x[k]);
-        if constexpr (kInts) isum_[g] += x[k];
-      } else if (Extremes()) {
-        const double v = static_cast<double>(x[k]);
-        if (best_[g] == kNone) {
-          best_[g] = static_cast<uint32_t>(k);
-          continue;
+    } else {
+      std::vector<uint32_t> best(Extremes() ? count_.size() : 0, kNone);
+      for (size_t k = 0; k < n; ++k) {
+        if (is_null(k)) continue;
+        const T v = x[index(k)];
+        const size_t g = gid != nullptr ? gid[k] : 0;
+        ++count_[g];
+        if (Sums()) {
+          sum_[g] += static_cast<double>(v);
+          if constexpr (kInts) isum_[g] += v;
+        } else if (Extremes()) {
+          const double d = static_cast<double>(v);
+          const double b = best[g] == kNone ? 0 : static_cast<double>(x[index(best[g])]);
+          if (best[g] == kNone || Better((d > b) - (d < b))) best[g] = static_cast<uint32_t>(k);
         }
-        const double b = static_cast<double>(x[best_[g]]);
-        if (Better((v > b) - (v < b))) best_[g] = static_cast<uint32_t>(k);
+      }
+      for (size_t g = 0; g < best.size(); ++g) {
+        if (best[g] != kNone) extreme_[g] = Value(x[index(best[g])]);
       }
     }
     if (!kInts && Sums()) {
@@ -804,14 +828,15 @@ class AggColumn {
     }
   }
 
-  // Any other vector, cell by cell as Values.
-  void FeedValues(const Vector& v, size_t n, const uint32_t* gid) {
+  // Any other argument, cell by cell as Values.
+  template <typename GetValue, typename IsNull>
+  void FeedValues(GetValue get, IsNull is_null, size_t n, const uint32_t* gid) {
     for (size_t k = 0; k < n; ++k) {
-      if (v.IsNull(k)) continue;
+      if (is_null(k)) continue;
       const size_t g = gid != nullptr ? gid[k] : 0;
       ++count_[g];
       if (!Sums() && !Extremes()) continue;
-      const Value x = v.Get(k);
+      Value x = get(k);
       if (Sums()) {
         if (x.type() == DataType::kInt64) {
           isum_[g] += x.int64_unchecked();
@@ -820,9 +845,8 @@ class AggColumn {
           all_int_[g] = 0;
           if (x.type() == DataType::kDouble) sum_[g] += x.double_unchecked();
         }
-      }
-      if (Extremes() && (best_[g] == kNone || Better(x.Compare(v.Get(best_[g]))))) {
-        best_[g] = static_cast<uint32_t>(k);
+      } else if (extreme_[g].is_null() || Better(x.Compare(extreme_[g]))) {
+        extreme_[g] = std::move(x);
       }
     }
   }
@@ -832,8 +856,7 @@ class AggColumn {
   std::vector<double> sum_;
   std::vector<__int128> isum_;
   std::vector<uint8_t> all_int_;
-  std::vector<uint32_t> best_;  // MIN/MAX: the entry of `fed_` holding it
-  const Vector* fed_ = nullptr;
+  std::vector<Value> extreme_;  // MIN/MAX; NULL until a group sees a value
 };
 
 Result<Batch> ExecuteAggregate(const PlanNode& node, const Batch& input,
@@ -858,25 +881,33 @@ Result<Batch> ExecuteAggregate(const PlanNode& node, const Batch& input,
     for (uint32_t g : gid) ++sizes[g];
   }
 
-  // Aggregate arguments over every row; plain items on each group's first
-  // row. Either way the first error in row order wins.
-  std::vector<const Expr*> fed(num_items, nullptr);
+  // Aggregate arguments over every row (a column straight off its
+  // slice); plain items on each group's first row. Either way the first
+  // error in row order wins.
+  std::vector<const ColumnExpr*> columns(num_items, nullptr);
+  std::vector<const Expr*> computed(num_items, nullptr);
   std::vector<const Expr*> plain(num_items, nullptr);
   for (size_t i = 0; i < num_items; ++i) {
+    const Expr* arg = bound.args[i].get();
     if (bound.funcs[i] == AggregateFunc::kNone) {
-      plain[i] = bound.args[i].get();
+      plain[i] = arg;
+    } else if (const auto* col = dynamic_cast<const ColumnExpr*>(arg)) {
+      columns[i] = col;
     } else {
-      fed[i] = bound.args[i].get();
+      computed[i] = arg;
     }
   }
   std::vector<Vector> args;
-  BIGDAWG_RETURN_NOT_OK(EvalInRowOrder(fed, input, Selection::All(n), &args));
+  BIGDAWG_RETURN_NOT_OK(EvalInRowOrder(computed, input, Selection::All(n), &args));
   std::vector<AggColumn> states;
   states.reserve(num_items);
+  const uint32_t* group_of = gid.empty() ? nullptr : gid.data();
   for (size_t i = 0; i < num_items; ++i) {
     states.emplace_back(bound.funcs[i], groups);
-    if (fed[i] != nullptr) {
-      states.back().Feed(args[i], n, gid.empty() ? nullptr : gid.data());
+    if (columns[i] != nullptr) {
+      states.back().Feed(input.ColumnAt(columns[i]->index()), n, group_of);
+    } else if (computed[i] != nullptr) {
+      states.back().Feed(args[i], n, group_of);
     }
   }
   std::vector<Vector> plain_values;
@@ -889,7 +920,7 @@ Result<Batch> ExecuteAggregate(const PlanNode& node, const Batch& input,
     for (size_t i = 0; i < num_items; ++i) {
       if (plain[i] != nullptr) {
         out[g].push_back(g < first.size() ? plain_values[i].Get(g) : Value::Null());
-      } else if (fed[i] == nullptr) {
+      } else if (bound.args[i] == nullptr) {
         out[g].push_back(Value(sizes[g]));  // COUNT(*)
       } else {
         BIGDAWG_ASSIGN_OR_RETURN(Value v, states[i].Get(g));

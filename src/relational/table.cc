@@ -23,6 +23,9 @@ Table::Table(Schema schema, std::vector<Row> rows) {
 
 Table Table::WithSchema(Schema schema) const {
   BIGDAWG_CHECK(schema.num_fields() == rep_->schema.num_fields());
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    BIGDAWG_CHECK(schema.field(i).type == rep_->schema.field(i).type);
+  }
   Table out = *this;
   out.renamed_ = schema == rep_->schema
                      ? nullptr
