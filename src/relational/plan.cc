@@ -535,7 +535,8 @@ uint32_t JoinBuckets(const Batch& left, size_t left_index, const Batch& right,
       lo = std::min(lo, rs.ints[row]);
       hi = std::max(hi, rs.ints[row]);
     });
-    if (lo > -kExact && hi < kExact && hi - lo < 4 * static_cast<int64_t>(right.num_rows) + 64) {
+    if (lo <= hi && lo > -kExact && hi < kExact &&
+        hi - lo < 4 * static_cast<int64_t>(right.num_rows) + 64) {
       std::vector<uint32_t> by_key(static_cast<size_t>(hi - lo + 1), kNone);
       ForEachRow(rc, rall, [&](size_t k, size_t row) {
         if (rs.IsNull(row)) return;
