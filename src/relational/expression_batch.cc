@@ -60,12 +60,13 @@ BinaryOp Mirror(BinaryOp op) {
   }
 }
 
-// Entry k of `v` as three-valued truth (0 false, 1 true, 2 NULL), or the
-// TypeError AsBool raises on a non-boolean.
+// Three-valued truth.
 constexpr uint8_t kFalse = 0;
 constexpr uint8_t kTrue = 1;
 constexpr uint8_t kUnknown = 2;
 
+// Entry k of `v` as three-valued truth, or the TypeError AsBool raises on
+// a non-boolean.
 Result<uint8_t> Truth(const Vector& v, size_t k) {
   if (v.IsNull(k)) return kUnknown;
   if (v.kind == SliceKind::kBool) return v.bools[v.At(k)];
