@@ -37,7 +37,8 @@ inline bool IsNumericKind(SliceKind kind) {
 /// null bitmap. Built once per (block, column) and shared by reference —
 /// every later read of the same column is a pointer swap, not a copy.
 /// Every array is indexed by row number; a NULL row's typed entry is 0
-/// (code 0 for strings) and only the bitmap says it is NULL.
+/// (code 0 for strings, which indexes nothing when every row is NULL)
+/// and only the bitmap says it is NULL.
 struct ColumnSlice {
   DataType declared_type = DataType::kNull;
   SliceKind kind = SliceKind::kMixed;

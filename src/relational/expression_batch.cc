@@ -220,9 +220,13 @@ void ColumnExpr::DoEvalBatch(const Batch& batch, Selection sel, Vector* out) con
       break;
     }
     case SliceKind::kString: {
+      // A NULL row's code 0 indexes nothing when every row is NULL; its
+      // entry is never read, so it may point at an empty string instead.
+      static const std::string kNoString;
+      const std::string* dict = slice.dict.empty() ? &kNoString : slice.dict.data();
       const std::string** strings = out->strings.data();
       ForEachRow(col, sel,
-                 [&](size_t k, size_t row) { strings[k] = &slice.dict[slice.codes[row]]; });
+                 [&](size_t k, size_t row) { strings[k] = dict + slice.codes[row]; });
       break;
     }
     case SliceKind::kMixed:
@@ -299,7 +303,9 @@ bool BinaryExpr::EvalColumnVersusLiteral(const Batch& batch, Selection sel,
   out->Reset(SliceKind::kBool, sel.size, false);
   uint8_t* bools = out->bools.data();
   if (strings) {
-    std::vector<uint8_t> by_code(slice.dict.size());
+    // At least one slot: NULL rows carry code 0 even when every row is
+    // NULL and the dictionary is empty.
+    std::vector<uint8_t> by_code(std::max<size_t>(slice.dict.size(), 1));
     for (size_t c = 0; c < slice.dict.size(); ++c) {
       const int cmp = slice.dict[c].compare(literal.string_unchecked());
       by_code[c] = CompareResult(op, (cmp > 0) - (cmp < 0));

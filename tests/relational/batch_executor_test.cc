@@ -147,6 +147,28 @@ TEST(MixedColumnTest, IntegralDoublesGroupAndJoinWithInts) {
   EXPECT_EQ(db.ExecuteSql("SELECT k FROM m WHERE m = 3")->num_rows(), 2u);
 }
 
+// NULL rows of a dictionary-coded string column carry code 0, which
+// indexes nothing when every row is NULL and the dictionary is empty.
+TEST(AllNullStringTest, KernelsNeverIndexTheEmptyDictionary) {
+  Database db;
+  BIGDAWG_CHECK_OK(db.CreateTable(
+      "t", Schema({Field("k", DataType::kInt64), Field("s", DataType::kString)})));
+  BIGDAWG_CHECK_OK(db.Insert("t", {Value(1), Value::Null()}));
+  EXPECT_EQ(db.ExecuteSql("SELECT * FROM t WHERE s = 'x'")->num_rows(), 0u);
+  EXPECT_EQ(db.ExecuteSql("SELECT * FROM t WHERE 'x' <> s")->num_rows(), 0u);
+  EXPECT_EQ(db.ExecuteSql("SELECT * FROM t WHERE s LIKE 'a%'")->num_rows(), 0u);
+  EXPECT_EQ(db.ExecuteSql("SELECT * FROM t WHERE s < s")->num_rows(), 0u);
+  EXPECT_EQ(db.ExecuteSql("SELECT * FROM t WHERE s IS NULL")->num_rows(), 1u);
+  Table t = *db.ExecuteSql("SELECT s FROM t");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_TRUE(t.rows()[0][0].is_null());
+  Table g = *db.ExecuteSql("SELECT s, COUNT(*) AS n, MIN(s) AS lo FROM t GROUP BY s");
+  ASSERT_EQ(g.num_rows(), 1u);
+  EXPECT_TRUE(g.rows()[0][0].is_null());
+  EXPECT_TRUE(g.rows()[0][2].is_null());
+  EXPECT_EQ(db.ExecuteSql("SELECT a.k FROM t a JOIN t b ON a.s = b.s")->num_rows(), 0u);
+}
+
 class OverflowTest : public ::testing::Test {
  protected:
   void SetUp() override {

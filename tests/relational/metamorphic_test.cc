@@ -1,7 +1,7 @@
 // Reference-free oracles for the one relational executor, run through
 // both SQL dialects (the RELATIONAL and MYRIA islands) over the golden
-// corpus's synthesized tables plus a table whose one column mixes int64
-// and double cells. A seeded generator builds predicates p from
+// corpus's synthesized tables plus a table with a column that mixes int64
+// and double cells and a string column that is all NULL. A seeded generator builds predicates p from
 // comparisons, arithmetic, LIKE, functions, IS NULL, NOT, AND and OR,
 // and checks two oracles:
 //
@@ -48,7 +48,7 @@ const std::vector<From>& Froms() {
       {"rx", {"rid", "id", "y"}, {"x"}, {"s"}, "rid, id, x, y, s"},
       {"tiny", {"k"}, {"v"}, {}, "k, v"},
       {"empty_t", {"id", "a"}, {"b"}, {}, "id, a, b"},
-      {"mix", {"k"}, {"m"}, {"t"}, "k, m, t"},
+      {"mix", {"k"}, {"m"}, {"t", "u"}, "k, m, t, u"},
       {"pt JOIN rx ON pt.id = rx.id",
        {"pt.a", "rx.y", "pt.grp"},
        {"pt.b", "rx.x"},
@@ -59,11 +59,13 @@ const std::vector<From>& Froms() {
 }
 
 // Column m is declared double but holds int64 and double cells (3 and
-// 3.0 both appear), plus NULLs.
+// 3.0 both appear), plus NULLs. Column u is a string column that is NULL
+// in every row.
 void LoadMixedTable(core::BigDawg* dawg) {
   relational::Table mix{Schema({Field("k", DataType::kInt64),
                                 Field("m", DataType::kDouble),
-                                Field("t", DataType::kString)})};
+                                Field("t", DataType::kString),
+                                Field("u", DataType::kString)})};
   Rng rng(77);
   for (int64_t k = 0; k < 30; ++k) {
     Value m;
@@ -79,7 +81,8 @@ void LoadMixedTable(core::BigDawg* dawg) {
     }
     mix.AppendUnchecked({Value(k), m,
                          rng.NextBool(0.15) ? Value::Null()
-                                            : Value(kWords[rng.NextBelow(5)])});
+                                            : Value(kWords[rng.NextBelow(5)]),
+                         Value::Null()});
   }
   BIGDAWG_CHECK_OK(dawg->postgres().PutTable("mix", std::move(mix)));
   BIGDAWG_CHECK_OK(dawg->RegisterObject("mix", core::kEnginePostgres, "mix"));
