@@ -57,16 +57,16 @@ Result<DataType> CheckTypeTag(uint64_t tag) {
 void PutValuePayload(std::string* out, const Value& v) {
   switch (v.type()) {
     case DataType::kBool:
-      out->push_back(v.bool_unchecked() ? 1 : 0);
+      PutBoolPayload(out, v.bool_unchecked());
       break;
     case DataType::kInt64:
-      PutVarintSigned(out, v.int64_unchecked());
+      PutInt64Payload(out, v.int64_unchecked());
       break;
     case DataType::kDouble:
-      PutDouble(out, v.double_unchecked());
+      PutDoublePayload(out, v.double_unchecked());
       break;
     case DataType::kString:
-      PutLengthPrefixed(out, v.string_unchecked());
+      PutStringPayload(out, v.string_unchecked());
       break;
     case DataType::kNull:
       break;

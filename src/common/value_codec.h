@@ -35,7 +35,15 @@ Result<DataType> CheckTypeTag(uint64_t tag);
 
 /// One cell's payload without its type tag: a byte for bools, a zigzag
 /// varint for int64s, a fixed64 for doubles, a length-prefixed string.
-/// NULL has no payload.
+/// NULL has no payload. The typed writers serve a caller that already
+/// knows the cell's type (a typed column slice); PutValuePayload
+/// dispatches to them on a Value's type.
+inline void PutBoolPayload(std::string* out, bool v) { out->push_back(v ? 1 : 0); }
+inline void PutInt64Payload(std::string* out, int64_t v) { PutVarintSigned(out, v); }
+inline void PutDoublePayload(std::string* out, double v) { PutDouble(out, v); }
+inline void PutStringPayload(std::string* out, const std::string& s) {
+  PutLengthPrefixed(out, s);
+}
 void PutValuePayload(std::string* out, const Value& v);
 Result<Value> GetValuePayload(VarintReader* reader, DataType type);
 

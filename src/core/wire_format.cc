@@ -95,16 +95,16 @@ std::string EncodeTable(const relational::Table& table) {
       if (col.IsNull(r)) continue;
       switch (slice.kind) {
         case common::SliceKind::kInt64:
-          common::PutVarintSigned(&out, slice.ints[r]);
+          common::PutInt64Payload(&out, slice.ints[r]);
           break;
         case common::SliceKind::kDouble:
-          common::PutDouble(&out, slice.doubles[r]);
+          common::PutDoublePayload(&out, slice.doubles[r]);
           break;
         case common::SliceKind::kBool:
-          out.push_back(slice.bools[r] != 0 ? 1 : 0);
+          common::PutBoolPayload(&out, slice.bools[r] != 0);
           break;
         case common::SliceKind::kString:
-          common::PutLengthPrefixed(&out, slice.dict[slice.codes[r]]);
+          common::PutStringPayload(&out, slice.dict[slice.codes[r]]);
           break;
         case common::SliceKind::kMixed:
           if (mixed) {

@@ -169,6 +169,44 @@ TEST(AllNullStringTest, KernelsNeverIndexTheEmptyDictionary) {
   EXPECT_EQ(db.ExecuteSql("SELECT a.k FROM t a JOIN t b ON a.s = b.s")->num_rows(), 0u);
 }
 
+// Int64 equi-join keys over a small right range index a direct table;
+// it must agree with Value equality at the range's edges and beyond.
+TEST(DenseJoinTest, DirectTableAgreesWithValueEquality) {
+  Database db;
+  BIGDAWG_CHECK_OK(db.CreateTable(
+      "r", Schema({Field("k", DataType::kInt64), Field("tag", DataType::kInt64)})));
+  BIGDAWG_CHECK_OK(db.InsertMany("r", {{Value(-2), Value(0)},
+                                       {Value(0), Value(1)},
+                                       {Value(-2), Value(2)},
+                                       {Value::Null(), Value(3)},
+                                       {Value(1), Value(4)}}));
+  BIGDAWG_CHECK_OK(db.CreateTable(
+      "l", Schema({Field("k", DataType::kInt64), Field("id", DataType::kInt64)})));
+  BIGDAWG_CHECK_OK(db.InsertMany("l", {{Value(kMin), Value(0)},
+                                       {Value(-2), Value(1)},
+                                       {Value::Null(), Value(2)},
+                                       {Value(1), Value(3)},
+                                       {Value(kMax), Value(4)},
+                                       {Value(5), Value(5)},
+                                       {Value(0), Value(6)}}));
+  Table j = *db.ExecuteSql("SELECT l.id, r.tag FROM l JOIN r ON l.k = r.k");
+  ASSERT_EQ(j.num_rows(), 4u);
+  const int64_t want[4][2] = {{1, 0}, {1, 2}, {3, 4}, {6, 1}};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(j.rows()[i][0], Value(want[i][0]));
+    EXPECT_EQ(j.rows()[i][1], Value(want[i][1]));
+  }
+  // 2^53 and 2^53 + 1 are one double, so Value equality joins both.
+  constexpr int64_t kExact = int64_t{1} << 53;
+  BIGDAWG_CHECK_OK(db.CreateTable(
+      "r2", Schema({Field("k", DataType::kInt64), Field("tag", DataType::kInt64)})));
+  BIGDAWG_CHECK_OK(
+      db.InsertMany("r2", {{Value(kExact), Value(0)}, {Value(kExact + 1), Value(1)}}));
+  BIGDAWG_CHECK_OK(db.CreateTable("l2", Schema({Field("k", DataType::kInt64)})));
+  BIGDAWG_CHECK_OK(db.Insert("l2", {Value(kExact + 1)}));
+  EXPECT_EQ(db.ExecuteSql("SELECT l2.k FROM l2 JOIN r2 ON l2.k = r2.k")->num_rows(), 2u);
+}
+
 class OverflowTest : public ::testing::Test {
  protected:
   void SetUp() override {
