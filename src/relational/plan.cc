@@ -248,9 +248,10 @@ using RowSet = std::unordered_set<Row, RowHash>;
 
 constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-// The one Distinct over materialized rows (Iterate's union): appends each
-// row not yet in `seen`, so the first occurrence wins. Rows compare with
-// Value ==, under which 3 and 3.0 are equal (and hash alike).
+// Iterate's union over materialized rows: appends each row not yet in
+// `seen`, so the first occurrence wins. Rows compare with Value ==, under
+// which 3 and 3.0 are equal (and hash alike). The Distinct node keys rows
+// through GroupIds instead; the two differ only on NaN (DESIGN.md §17).
 int64_t AppendUnseen(const std::vector<Row>& rows, RowSet* seen, Table* out) {
   int64_t appended = 0;
   for (const Row& row : rows) {
