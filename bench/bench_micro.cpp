@@ -1,7 +1,7 @@
 // Google-benchmark micro-benchmarks for the polystore's hot primitives:
 // expression evaluation, SQL scans/aggregates/joins/DISTINCT, Myria
-// iteration, array scans, KV range scans, the binary CAST wire format,
-// and FFT kernels. These are per-operation
+// iteration, array scans, array -> relation CASTs, KV range scans, the
+// binary CAST wire format, and FFT kernels. These are per-operation
 // numbers supporting the experiment-level benches.
 
 #include <benchmark/benchmark.h>
@@ -10,6 +10,9 @@
 #include "array/array.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/bigdawg.h"
+#include "core/cast.h"
+#include "core/stream_ageout.h"
 #include "core/wire_format.h"
 #include "kvstore/kvstore.h"
 #include "myria/myria.h"
@@ -195,6 +198,48 @@ void BM_ArrayScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ArrayScan)->Arg(10000)->Arg(100000);
+
+// n aged-out vitals in the stream-history schema: one patient per
+// sequence number over four patients, so the 2-D history array
+// (hist_seq x patient_id) has three empty cells per filled one.
+relational::Table HistoryRows(int64_t n) {
+  Rng rng(3);
+  relational::Table t{Schema({Field(core::kHistorySeqColumn, DataType::kInt64),
+                              Field("patient_id", DataType::kInt64),
+                              Field("mv", DataType::kDouble)})};
+  for (int64_t i = 0; i < n; ++i) {
+    t.AppendUnchecked({Value(i), Value(i % 4), Value(rng.NextDouble(40, 160))});
+  }
+  return t;
+}
+
+void BM_ArrayToTable(benchmark::State& state) {
+  const array::Array history =
+      *core::TableToArray(HistoryRows(state.range(0)), core::kHistoryChunkLength, 1);
+  for (auto _ : state) {
+    auto table = core::ArrayToTable(history);
+    BIGDAWG_CHECK(table.ok());
+    benchmark::DoNotOptimize(table);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ArrayToTable)->Arg(10000)->Arg(50000);
+
+// The stream reader's history_cast over a 5x10^4-row history. Each
+// iteration bumps the history's version first, as an age-out flush does,
+// so every run is a cast-cache miss that converts the whole archive.
+void BM_CastCountSum(benchmark::State& state) {
+  core::BigDawg dawg;
+  BIGDAWG_CHECK_OK(dawg.StoreStreamHistory("h", HistoryRows(50000)));
+  for (auto _ : state) {
+    BIGDAWG_CHECK_OK(dawg.MarkObjectWritten("h"));
+    auto result = dawg.Execute(
+        "RELATIONAL(SELECT COUNT(*) AS n, SUM(mv) AS s FROM CAST(h, relation))");
+    BIGDAWG_CHECK(result.ok());
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_CastCountSum)->Unit(benchmark::kMillisecond);
 
 void BM_KvRangeScan(benchmark::State& state) {
   kvstore::KvStore store;

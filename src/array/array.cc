@@ -1,6 +1,7 @@
 #include "array/array.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 
@@ -199,7 +200,7 @@ Array::Chunk* Array::GetOrCreateChunk(Rep* rep, const Coordinates& key) {
   auto chunk = std::make_shared<Chunk>();
   const size_t volume = static_cast<size_t>(ChunkVolume());
   chunk->attr_data.assign(rep->attrs.size(), std::vector<double>(volume, 0.0));
-  chunk->filled.assign(volume, false);
+  chunk->filled.assign((volume + 63) / 64, 0);
   auto inserted =
       rep->chunks.emplace(key, common::CowPtr<Chunk>(std::move(chunk)));
   return inserted.first->second.Mutable();
@@ -227,11 +228,7 @@ Status Array::Set(const Coordinates& coords, const std::vector<double>& values) 
   Rep* rep = rep_.Mutable();
   Chunk* chunk = GetOrCreateChunk(rep, key);
   for (size_t a = 0; a < values.size(); ++a) chunk->attr_data[a][offset] = values[a];
-  if (!chunk->filled[offset]) {
-    chunk->filled[offset] = true;
-    ++chunk->filled_count;
-    ++rep->non_empty;
-  }
+  if (chunk->Fill(offset)) ++rep->non_empty;
   return Status::OK();
 }
 
@@ -243,11 +240,7 @@ Status Array::SetAttr(const Coordinates& coords, size_t attr, double value) {
   Rep* rep = rep_.Mutable();
   Chunk* chunk = GetOrCreateChunk(rep, key);
   chunk->attr_data[attr][offset] = value;
-  if (!chunk->filled[offset]) {
-    chunk->filled[offset] = true;
-    ++chunk->filled_count;
-    ++rep->non_empty;
-  }
+  if (chunk->Fill(offset)) ++rep->non_empty;
   return Status::OK();
 }
 
@@ -259,7 +252,7 @@ Result<std::vector<double>> Array::Get(const Coordinates& coords) const {
   if (it == rep.chunks.end()) return Status::NotFound("empty cell");
   const Chunk& chunk = *it->second;
   size_t offset = OffsetInChunk(coords, key);
-  if (!chunk.filled[offset]) return Status::NotFound("empty cell");
+  if (!chunk.IsFilled(offset)) return Status::NotFound("empty cell");
   std::vector<double> out(num_attrs());
   for (size_t a = 0; a < out.size(); ++a) out[a] = chunk.attr_data[a][offset];
   return out;
@@ -268,36 +261,44 @@ Result<std::vector<double>> Array::Get(const Coordinates& coords) const {
 void Array::Scan(const std::function<bool(const Coordinates&,
                                           const std::vector<double>&)>& fn) const {
   const Rep& rep = *rep_;
-  // Deterministic order: sort chunk keys.
-  std::map<Coordinates, const Chunk*> ordered;
-  for (const auto& [key, chunk] : rep.chunks) ordered.emplace(key, chunk.get());
+  // Deterministic order: sorted chunk keys.
+  std::vector<std::pair<const Coordinates*, const Chunk*>> ordered;
+  ordered.reserve(rep.chunks.size());
+  for (const auto& [key, chunk] : rep.chunks) ordered.emplace_back(&key, chunk.get());
+  std::sort(ordered.begin(), ordered.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
 
   const std::vector<Dimension>& ds = rep.dims;
   const size_t nd = ds.size();
+  const size_t volume = static_cast<size_t>(ChunkVolume());
+  // Only a chunk's first `volume` bits are cells (the volume need not be
+  // a multiple of 64): the last word's tail is masked off.
+  const uint64_t tail_mask =
+      volume % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (volume % 64)) - 1;
   std::vector<double> values(rep.attrs.size());
   Coordinates coords(nd);
   for (const auto& [key, chunk] : ordered) {
-    const size_t volume = chunk->filled.size();
-    for (size_t offset = 0; offset < volume; ++offset) {
-      if (!chunk->filled[offset]) continue;
-      // Decode offset -> coordinates (row-major within chunk).
-      size_t rem = offset;
-      for (size_t i = nd; i-- > 0;) {
-        int64_t cl = ds[i].chunk_length;
-        coords[i] = ds[i].start + key[i] * cl + static_cast<int64_t>(rem % cl);
-        rem /= static_cast<size_t>(cl);
-      }
-      // Skip cells beyond the array box (partial edge chunks).
-      bool in_box = true;
-      for (size_t i = 0; i < nd; ++i) {
-        if (coords[i] >= ds[i].start + ds[i].length) {
-          in_box = false;
-          break;
+    const size_t words = chunk->filled.size();
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t bits = chunk->filled[w];
+      if (w + 1 == words) bits &= tail_mask;
+      while (bits != 0) {
+        const size_t offset = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        // Decode offset -> coordinates (row-major within chunk).
+        size_t rem = offset;
+        bool in_box = true;
+        for (size_t i = nd; i-- > 0;) {
+          const int64_t cl = ds[i].chunk_length;
+          coords[i] = ds[i].start + (*key)[i] * cl + static_cast<int64_t>(rem % cl);
+          rem /= static_cast<size_t>(cl);
+          // Skip cells beyond the array box (partial edge chunks).
+          in_box = in_box && coords[i] < ds[i].start + ds[i].length;
         }
+        if (!in_box) continue;
+        for (size_t a = 0; a < values.size(); ++a) values[a] = chunk->attr_data[a][offset];
+        if (!fn(coords, values)) return;
       }
-      if (!in_box) continue;
-      for (size_t a = 0; a < values.size(); ++a) values[a] = chunk->attr_data[a][offset];
-      if (!fn(coords, values)) return;
     }
   }
 }

@@ -108,8 +108,10 @@ class Array {
   /// Reads a cell; NotFound when the cell is empty.
   Result<std::vector<double>> Get(const Coordinates& coords) const;
 
-  /// Visits every non-empty cell in chunk order. The callback returns false
-  /// to stop early.
+  /// Visits every non-empty cell in chunk order: chunks by ascending
+  /// chunk key, cells by ascending offset within a chunk. Walks each
+  /// chunk's filled bitmap a word at a time, so empty cells cost nothing
+  /// beyond their bit. The callback returns false to stop early.
   void Scan(const std::function<bool(const Coordinates&,
                                      const std::vector<double>&)>& fn) const;
 
@@ -165,10 +167,22 @@ class Array {
 
  private:
   struct Chunk : common::CowCount {
-    // Per attribute, chunk-volume values; parallel bitmap of filled cells.
+    // Per attribute, chunk-volume values.
     std::vector<std::vector<double>> attr_data;
-    std::vector<bool> filled;
-    int64_t filled_count = 0;
+    // Bit `offset` set <=> that cell is filled; 64 cells per word.
+    std::vector<uint64_t> filled;
+
+    bool IsFilled(size_t offset) const {
+      return (filled[offset >> 6] >> (offset & 63)) & 1u;
+    }
+    /// Marks the cell filled; false when it already was.
+    bool Fill(size_t offset) {
+      uint64_t& word = filled[offset >> 6];
+      const uint64_t bit = uint64_t{1} << (offset & 63);
+      if ((word & bit) != 0) return false;
+      word |= bit;
+      return true;
+    }
   };
 
   struct CoordsHash {

@@ -23,7 +23,33 @@ SliceKind KindOf(DataType type) {
   return SliceKind::kMixed;
 }
 
+// Size, an all-clear null bitmap and 8 bytes per cell for a NULL-free
+// scalar slice of `n` rows.
+void SetDenseScalarMetadata(size_t n, ColumnSlice* slice) {
+  slice->size = n;
+  slice->null_bitmap.assign((n + 63) / 64, 0);
+  slice->byte_size = static_cast<int64_t>(n) * 8;
+}
+
 }  // namespace
+
+ColumnSlice Int64Slice(std::vector<int64_t> values) {
+  ColumnSlice slice;
+  slice.declared_type = DataType::kInt64;
+  slice.kind = SliceKind::kInt64;
+  SetDenseScalarMetadata(values.size(), &slice);
+  slice.ints = std::move(values);
+  return slice;
+}
+
+ColumnSlice DoubleSlice(std::vector<double> values) {
+  ColumnSlice slice;
+  slice.declared_type = DataType::kDouble;
+  slice.kind = SliceKind::kDouble;
+  SetDenseScalarMetadata(values.size(), &slice);
+  slice.doubles = std::move(values);
+  return slice;
+}
 
 Value ColumnSlice::ValueAt(size_t i) const {
   if (IsNull(i)) return Value::Null();

@@ -66,6 +66,10 @@ struct ColumnSlice {
 ColumnSlice BuildColumnSlice(const Schema& schema, const std::vector<Row>& rows,
                              size_t idx);
 
+/// \brief A NULL-free int64 / double column over `values`.
+ColumnSlice Int64Slice(std::vector<int64_t> values);
+ColumnSlice DoubleSlice(std::vector<double> values);
+
 /// \brief A cheap, shared view of one column. Copying a view copies one
 /// shared_ptr; the underlying slice lives as long as any view (or the
 /// owning block) does, so views stay valid after the source table handle

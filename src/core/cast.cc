@@ -189,17 +189,30 @@ Result<relational::Table> ArrayToTable(const array::Array& array) {
   for (const std::string& a : array.attrs()) {
     fields.emplace_back(a, DataType::kDouble);
   }
-  relational::Table out{Schema(std::move(fields))};
-  array.Scan([&out](const array::Coordinates& coords,
-                    const std::vector<double>& values) {
-    Row row;
-    row.reserve(coords.size() + values.size());
-    for (int64_t c : coords) row.emplace_back(c);
-    for (double v : values) row.emplace_back(v);
-    out.AppendUnchecked(std::move(row));
+  // One Scan pass appends each filled cell to typed columns; no Row is
+  // built (the table builds rows only if a reader asks for them).
+  const size_t cells = static_cast<size_t>(array.NonEmptyCount());
+  std::vector<std::vector<int64_t>> dims(array.num_dims());
+  std::vector<std::vector<double>> attrs(array.num_attrs());
+  for (auto& column : dims) column.reserve(cells);
+  for (auto& column : attrs) column.reserve(cells);
+  array.Scan([&dims, &attrs](const array::Coordinates& coords,
+                             const std::vector<double>& values) {
+    for (size_t d = 0; d < coords.size(); ++d) dims[d].push_back(coords[d]);
+    for (size_t a = 0; a < values.size(); ++a) attrs[a].push_back(values[a]);
     return true;
   });
-  return out;
+  std::vector<std::shared_ptr<const common::ColumnSlice>> slices;
+  slices.reserve(fields.size());
+  for (auto& column : dims) {
+    slices.push_back(
+        std::make_shared<const common::ColumnSlice>(common::Int64Slice(std::move(column))));
+  }
+  for (auto& column : attrs) {
+    slices.push_back(
+        std::make_shared<const common::ColumnSlice>(common::DoubleSlice(std::move(column))));
+  }
+  return relational::Table::FromColumns(Schema(std::move(fields)), std::move(slices));
 }
 
 Result<d4m::AssocArray> TableToAssoc(const relational::Table& table) {

@@ -60,8 +60,9 @@ Result<array::Array> TableToArray(const relational::Table& table,
 /// stay written).
 Status SetTableCells(const relational::Table& table, array::Array* out);
 
-/// \brief Array -> relation: one row per non-empty cell, dimensions first
-/// (int64), then attributes (double).
+/// \brief Array -> relation: one row per non-empty cell in Scan order,
+/// dimensions first (int64), then attributes (double). The table is born
+/// from columns: it holds typed slices and builds no rows until asked.
 Result<relational::Table> ArrayToTable(const array::Array& array);
 
 /// \brief Relation -> associative array. The first column supplies row

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 #include "core/exec_context.h"
 
@@ -221,6 +222,24 @@ void CastCache::InsertLocked(const CastCacheKey& key, CachedValue value,
   // not fit; don't cache it.
   if (bytes > max_bytes_) return;
   if (entries_.count(key) > 0) return;
+  // Versions only grow, so an older version of the same cast can never be
+  // looked up again: drop it now rather than let it hold budget until LRU
+  // reaches it. (A newer one already resident makes this insert the stale
+  // one.) Keys sort by object, then instance id, so the scan is confined
+  // to this object's instance.
+  const CastCacheKey first{key.object, key.instance_id,
+                           std::numeric_limits<int64_t>::min(), CastTarget::kTable, ""};
+  for (auto it = entries_.lower_bound(first);
+       it != entries_.end() && it->first.object == key.object &&
+       it->first.instance_id == key.instance_id;) {
+    const CastCacheKey& other = it->first;
+    if (other.target != key.target || other.params != key.params) {
+      ++it;
+      continue;
+    }
+    if (other.version > key.version) return;
+    it = EraseLocked(it);
+  }
   lru_.push_front(key);
   Entry entry;
   entry.value = std::move(value);
@@ -234,14 +253,15 @@ void CastCache::InsertLocked(const CastCacheKey& key, CachedValue value,
   PublishGaugesLocked();
 }
 
-void CastCache::EvictOneLocked() {
-  const CastCacheKey victim = lru_.back();
-  auto it = entries_.find(victim);
+void CastCache::EvictOneLocked() { EraseLocked(entries_.find(lru_.back())); }
+
+std::map<CastCacheKey, CastCache::Entry>::iterator CastCache::EraseLocked(
+    std::map<CastCacheKey, Entry>::iterator it) {
   bytes_ -= it->second.bytes;
-  entries_.erase(it);
-  lru_.pop_back();
+  lru_.erase(it->second.lru_it);
   ++evictions_;
   if (m_evictions_ != nullptr) m_evictions_->Increment();
+  return entries_.erase(it);
 }
 
 void CastCache::DropAllLocked() {

@@ -35,8 +35,9 @@ const char* CastTargetName(CastTarget target);
 /// fetch, and `instance_id` pins the registration (Remove + Register
 /// resets the version to 0 with arbitrary new data; the id makes such a
 /// key unreachable instead of wrong). Because writes bump the version,
-/// stale entries are simply never looked up again — they age out via LRU
-/// rather than being explicitly invalidated.
+/// stale entries are never looked up again: inserting a version drops
+/// every lower version of the same (object, instance_id, target, params)
+/// as an eviction, and entries of an old instance age out via LRU.
 struct CastCacheKey {
   std::string object;
   int64_t instance_id = 0;
@@ -212,6 +213,9 @@ class CastCache {
 
   void InsertLocked(const CastCacheKey& key, CachedValue value, int64_t bytes);
   void EvictOneLocked();
+  /// Removes one entry, counting it as an eviction.
+  std::map<CastCacheKey, Entry>::iterator EraseLocked(
+      std::map<CastCacheKey, Entry>::iterator it);
   void DropAllLocked();
   void PublishGaugesLocked();
 

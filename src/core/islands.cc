@@ -343,11 +343,11 @@ Result<relational::Table> ArrayIsland::Execute(const std::string& query) {
       result.dims()[0].length == 1 && table.num_rows() <= 1) {
     std::vector<Field> fields(table.schema().fields().begin() + 1,
                               table.schema().fields().end());
-    relational::Table scalar{Schema(std::move(fields))};
-    for (const Row& row : table.rows()) {
-      scalar.AppendUnchecked(Row(row.begin() + 1, row.end()));
+    std::vector<std::shared_ptr<const common::ColumnSlice>> slices;
+    for (size_t c = 1; c < table.schema().num_fields(); ++c) {
+      slices.push_back(table.ColumnAt(c).slice());
     }
-    return scalar;
+    return relational::Table::FromColumns(Schema(std::move(fields)), std::move(slices));
   }
   return table;
 }

@@ -26,11 +26,14 @@ Batch::Column Batch::ColumnAt(size_t i) const {
                 src.rows != nullptr ? src.rows->data() : nullptr};
 }
 
-const Value& Batch::ValueAt(size_t pos, size_t column) const {
+Value Batch::ValueAt(size_t pos, size_t column) const {
   const ColumnRef& ref = columns[column];
   const Source& src = sources[ref.source];
   const size_t row = src.rows != nullptr ? (*src.rows)[pos] : pos;
-  return src.table.rows()[row][ref.column];
+  // A block with rows answers from them: one cell must not build the
+  // slice of a whole column.
+  if (src.table.HasRowStorage()) return src.table.rows()[row][ref.column];
+  return src.table.ColumnAt(ref.column).slice()->ValueAt(row);
 }
 
 Batch Batch::Take(const RowIds& positions) const {
@@ -88,11 +91,19 @@ Table Batch::Materialize(int64_t* rows_materialized) const {
   for (Row& row : rows) row.reserve(columns.size());
   for (size_t c = 0; c < columns.size(); ++c) {
     const Source& src = sources[columns[c].source];
-    const std::vector<Row>& block = src.table.rows();
     const uint32_t column = columns[c].column;
     const uint32_t* ids = src.rows != nullptr ? src.rows->data() : nullptr;
-    for (size_t pos = 0; pos < num_rows; ++pos) {
-      rows[pos].push_back(block[ids != nullptr ? ids[pos] : pos][column]);
+    if (src.table.HasRowStorage()) {
+      const std::vector<Row>& block = src.table.rows();
+      for (size_t pos = 0; pos < num_rows; ++pos) {
+        rows[pos].push_back(block[ids != nullptr ? ids[pos] : pos][column]);
+      }
+    } else {
+      const common::ColumnView view = src.table.ColumnAt(column);
+      const common::ColumnSlice& slice = *view.slice();
+      for (size_t pos = 0; pos < num_rows; ++pos) {
+        rows[pos].push_back(slice.ValueAt(ids != nullptr ? ids[pos] : pos));
+      }
     }
   }
   if (rows_materialized != nullptr) *rows_materialized += static_cast<int64_t>(num_rows);

@@ -68,8 +68,9 @@ struct Batch {
   static Batch Of(Table table);
 
   Column ColumnAt(size_t i) const;
-  /// The cell at (position, column), read from the block's rows.
-  const Value& ValueAt(size_t pos, size_t column) const;
+  /// The cell at (position, column), read from the block's rows, or
+  /// from its column slice when the block has no row storage.
+  Value ValueAt(size_t pos, size_t column) const;
 
   /// The rows at `positions`, in that order.
   Batch Take(const RowIds& positions) const;
@@ -78,7 +79,8 @@ struct Batch {
 
   /// The batch as a Table. A batch that is a whole block under a rename
   /// shares that block; any other builds its rows, counting them in
-  /// `*rows_materialized` when given.
+  /// `*rows_materialized` when given. Cells come from a block's rows, or
+  /// from its slices when it has no row storage.
   Table Materialize(int64_t* rows_materialized) const;
 };
 

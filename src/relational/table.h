@@ -15,7 +15,8 @@
 
 namespace bigdawg::relational {
 
-/// \brief An in-memory relation: a schema plus row-major tuple storage.
+/// \brief An in-memory relation: a schema plus row-major tuple storage,
+/// or typed column slices.
 ///
 /// Tables are the unit the relational engine stores and every SELECT
 /// materializes into. They are also the canonical "relation" form that
@@ -30,6 +31,13 @@ namespace bigdawg::relational {
 /// transition; `Freeze()` finalizes the block's metadata for shared
 /// readers.
 ///
+/// A block is born from rows (the constructors, Append) or from columns
+/// (FromColumns). A block born from columns keeps its slices until it is
+/// thawed and has no row storage until something asks for rows: rows(),
+/// At(), ToString() or a thaw build them once, from the slices, and every
+/// later call reads that memo. num_rows(), ByteSize() and ColumnAt()
+/// never build rows.
+///
 /// Aliasing contract: references returned by rows()/schema()/Column()
 /// stay valid while this handle is alive and unmutated. Mutating one
 /// handle never invalidates data seen through another — the other handle
@@ -39,13 +47,22 @@ class Table {
   Table() = default;
   explicit Table(Schema schema);
   Table(Schema schema, std::vector<Row> rows);
+  /// A block born from `slices`, one per field of `schema`, each of the
+  /// field's declared type and all of one size. No row is built.
+  static Table FromColumns(Schema schema,
+                           std::vector<std::shared_ptr<const common::ColumnSlice>> slices);
 
   const Schema& schema() const { return renamed_ ? *renamed_ : rep_->schema; }
-  const std::vector<Row>& rows() const { return rep_->rows; }
+  /// The rows; on a block born from columns, builds them on first use.
+  const std::vector<Row>& rows() const { return rep_->Rows(); }
   /// Write escape hatch: thaws (clones a shared block) and returns the
   /// exclusively owned row storage.
   std::vector<Row>& mutable_rows() { return ThawRep()->rows; }
-  size_t num_rows() const { return rep_->rows.size(); }
+  size_t num_rows() const { return rep_->NumRows(); }
+  /// False for a block born from columns whose rows were never asked for.
+  bool HasRowStorage() const {
+    return !rep_->from_columns || rep_->has_rows.load(std::memory_order_acquire);
+  }
 
   /// Appends after validating against the schema.
   Status Append(Row row);
@@ -94,24 +111,42 @@ class Table {
 
  private:
   /// The refcounted immutable block: row storage plus lazily built,
-  /// shareable columnar metadata.
+  /// shareable columnar metadata — or, when born from columns, fixed
+  /// slices plus lazily built rows.
   struct Rep : common::CowCount {
     Schema schema;
-    std::vector<Row> rows;
+    /// On a block born from columns, a memo built under `slice_mu` and
+    /// published by `has_rows`.
+    mutable std::vector<Row> rows;
+    /// True when `slices` are the block's data (set at creation, cleared
+    /// only by a thaw of an exclusively owned block).
+    bool from_columns = false;
+    size_t column_rows = 0;  // row count when from_columns
+    /// Release-stored once `rows` is complete; always true for a block
+    /// born from rows.
+    mutable std::atomic<bool> has_rows{true};
     /// Memoized ValueByteSize sum; -1 = not yet computed. Benign-race
     /// memo: concurrent readers compute identical values.
     mutable std::atomic<int64_t> bytes{-1};
-    /// Guard for the lazily built per-column slices below.
+    /// Guard for the lazily built per-column slices below (and for the
+    /// row memo of a block born from columns, whose slices are fixed).
     mutable std::atomic<bool> has_slices{false};
     mutable std::mutex slice_mu;
     mutable std::vector<std::shared_ptr<const common::ColumnSlice>> slices;
 
     Rep() = default;
-    Rep(const Rep& o) : schema(o.schema), rows(o.rows) {}
+    Rep(const Rep& o);
+
+    size_t NumRows() const { return from_columns ? column_rows : rows.size(); }
+    const std::vector<Row>& Rows() const {
+      return has_rows.load(std::memory_order_acquire) ? rows : BuildRows();
+    }
+    /// Builds the row memo from the slices (once; later calls wait for it).
+    const std::vector<Row>& BuildRows() const;
   };
 
   /// Thaws and drops memoized metadata that in-place mutation would
-  /// invalidate.
+  /// invalidate; a block born from columns becomes one born from rows.
   Rep* ThawRep();
 
   common::CowPtr<Rep> rep_;

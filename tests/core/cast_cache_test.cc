@@ -163,6 +163,37 @@ TEST_F(CastCacheTest, LruEvictsByBytes) {
   EXPECT_EQ(dawg_.cast_cache().Stats().misses, 3);
 }
 
+TEST_F(CastCacheTest, SupersededVersionsAreDroppedAtInsert) {
+  // An unrelated cast that must survive every write to hr.
+  ASSERT_TRUE(dawg_.FetchAsArray("wave").ok());
+  constexpr int kVersions = 5;
+  for (int k = 0; k < kVersions; ++k) {
+    BIGDAWG_CHECK_OK(dawg_.scidb().SetCell("hr", {0, 0}, {100.0 + k}));
+    BIGDAWG_CHECK_OK(dawg_.MarkObjectWritten("hr"));
+    ASSERT_TRUE(dawg_.FetchAsTable("hr").ok());
+  }
+  const CastCacheStats stats = dawg_.cast_cache().Stats();
+  EXPECT_EQ(stats.misses, kVersions + 1);
+  EXPECT_EQ(stats.evictions, kVersions - 1) << "each new hr version drops the last";
+  EXPECT_EQ(stats.entries, 2);
+  int hr_entries = 0;
+  bool wave_resident = false;
+  for (const CastCacheEntryView& e : dawg_.cast_cache().DumpEntries()) {
+    if (e.key.object == "hr") ++hr_entries;
+    if (e.key.object == "wave") wave_resident = true;
+  }
+  EXPECT_EQ(hr_entries, 1);
+  EXPECT_TRUE(wave_resident);
+
+  // The newest version is the resident one, and the accounting holds
+  // only what is resident.
+  ASSERT_TRUE(dawg_.FetchAsTable("hr").ok());
+  EXPECT_EQ(dawg_.cast_cache().Stats().hits, 1);
+  int64_t resident = 0;
+  for (const CastCacheEntryView& e : dawg_.cast_cache().DumpEntries()) resident += e.bytes;
+  EXPECT_EQ(dawg_.cast_cache().Stats().bytes, resident);
+}
+
 TEST_F(CastCacheTest, OversizedResultsAreNotCached) {
   dawg_.cast_cache().SetMaxBytes(1);
   ASSERT_TRUE(dawg_.FetchAsTable("hr").ok());

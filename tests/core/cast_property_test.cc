@@ -5,11 +5,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/columnar.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/value_codec.h"
@@ -197,6 +203,180 @@ TEST_P(ChunkClampOracle, ClampedGridReadsLikeTheFullGrid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChunkClampOracle,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+// ArrayToTable builds typed column slices in one Scan pass. The oracle is
+// the row-building conversion it replaced: one Row of Values per cell,
+// appended in Scan order. Both must give the same schema, the same rows
+// in the same order with the same bits (NaN payloads and -0.0 included),
+// the same wire bytes and the same ByteSize.
+relational::Table RowBuiltArrayToTable(const array::Array& array) {
+  std::vector<Field> fields;
+  for (const array::Dimension& d : array.dims()) {
+    fields.emplace_back(d.name, DataType::kInt64);
+  }
+  for (const std::string& a : array.attrs()) fields.emplace_back(a, DataType::kDouble);
+  relational::Table out{Schema(std::move(fields))};
+  array.Scan([&out](const array::Coordinates& coords, const std::vector<double>& values) {
+    Row row;
+    for (int64_t c : coords) row.emplace_back(c);
+    for (double v : values) row.emplace_back(v);
+    out.AppendUnchecked(std::move(row));
+    return true;
+  });
+  return out;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameAsRowBuilt(const array::Array& array) {
+  const relational::Table want = RowBuiltArrayToTable(array);
+  const relational::Table got = *ArrayToTable(array);
+  EXPECT_FALSE(got.HasRowStorage());
+  ASSERT_TRUE(got.schema() == want.schema());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  EXPECT_EQ(got.ByteSize(), want.ByteSize());
+  EXPECT_EQ(EncodeTable(got), EncodeTable(want));
+  EXPECT_FALSE(got.HasRowStorage()) << "ByteSize or EncodeTable built rows";
+  const std::vector<Row>& got_rows = got.rows();
+  EXPECT_TRUE(got.HasRowStorage());
+  for (size_t r = 0; r < want.num_rows(); ++r) {
+    const Row& w = want.rows()[r];
+    const Row& g = got_rows[r];
+    ASSERT_EQ(g.size(), w.size());
+    for (size_t c = 0; c < w.size(); ++c) {
+      ASSERT_EQ(g[c].type(), w[c].type()) << "row " << r << " column " << c;
+      if (w[c].type() == DataType::kDouble) {
+        ASSERT_EQ(Bits(g[c].double_unchecked()), Bits(w[c].double_unchecked()))
+            << "row " << r << " column " << c;
+      } else {
+        ASSERT_EQ(g[c], w[c]) << "row " << r << " column " << c;
+      }
+    }
+  }
+}
+
+// A value drawn to stress bit-exactness: NaN, -0.0, +0.0, infinities,
+// and ordinary doubles.
+double EdgeDouble(Rng* rng) {
+  switch (rng->NextBelow(8)) {
+    case 0:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 1:
+      return -0.0;
+    case 2:
+      return 0.0;
+    case 3:
+      return rng->NextBool(0.5) ? std::numeric_limits<double>::infinity()
+                                : -std::numeric_limits<double>::infinity();
+    default:
+      return rng->NextGaussian() * 100.0;
+  }
+}
+
+class ArrayToTableOracle : public ::testing::TestWithParam<uint64_t> {};
+
+// Arrays built cell by cell: 1-3 dimensions whose lengths are rarely a
+// multiple of their chunk length (partial edge chunks), chunk volumes
+// that are rarely a multiple of 64, 1-3 attributes, and densities from
+// one cell to full.
+TEST_P(ArrayToTableOracle, CellByCellArraysMatchTheRowBuiltConversion) {
+  Rng rng(GetParam());
+  const size_t num_dims = 1 + GetParam() % 3;
+  std::vector<array::Dimension> dims;
+  int64_t cells = 1;
+  for (size_t d = 0; d < num_dims; ++d) {
+    const int64_t chunks[] = {1, 3, 5, 7, 8, 64, 100};
+    const int64_t chunk = chunks[rng.NextBelow(num_dims == 3 ? 5 : 7)];
+    const int64_t length = rng.NextInt(1, num_dims == 1 ? 300 : num_dims == 2 ? 40 : 12);
+    dims.emplace_back("d" + std::to_string(d), rng.NextInt(-50, 50), length, chunk);
+    cells *= length;
+  }
+  std::vector<std::string> attrs;
+  const int num_attrs = 1 + static_cast<int>(rng.NextBelow(3));
+  for (int a = 0; a < num_attrs; ++a) attrs.push_back("a" + std::to_string(a));
+  array::Array array = *array::Array::Create(dims, attrs);
+  const double density = std::vector<double>{0.02, 0.25, 0.75, 1.0}[rng.NextBelow(4)];
+  // Each filled cell keyed by (chunk key, row-major offset in its chunk):
+  // sorted, the order Scan must visit them in, derived without Scan.
+  std::vector<std::pair<std::vector<int64_t>, array::Coordinates>> filled;
+  for (int64_t i = 0; i < cells; ++i) {
+    if (!rng.NextBool(density)) continue;
+    array::Coordinates coords(num_dims);
+    int64_t rem = i;
+    for (size_t d = num_dims; d-- > 0;) {
+      coords[d] = dims[d].start + rem % dims[d].length;
+      rem /= dims[d].length;
+    }
+    std::vector<int64_t> order(num_dims + 1, 0);
+    for (size_t d = 0; d < num_dims; ++d) {
+      const int64_t within = coords[d] - dims[d].start;
+      order[d] = within / dims[d].chunk_length;
+      order[num_dims] = order[num_dims] * dims[d].chunk_length + within % dims[d].chunk_length;
+    }
+    filled.emplace_back(std::move(order), coords);
+    std::vector<double> values;
+    for (int a = 0; a < num_attrs; ++a) values.push_back(EdgeDouble(&rng));
+    BIGDAWG_CHECK_OK(array.Set(coords, values));
+  }
+  ExpectSameAsRowBuilt(array);
+
+  std::sort(filled.begin(), filled.end());
+  const relational::Table t = *ArrayToTable(array);
+  ASSERT_EQ(t.num_rows(), filled.size());
+  for (size_t r = 0; r < filled.size(); ++r) {
+    for (size_t d = 0; d < num_dims; ++d) {
+      ASSERT_EQ(t.ColumnAt(d).Int64At(r), filled[r].second[d]) << "row " << r;
+    }
+  }
+}
+
+// Arrays from TableToArray, whose short dimensions get one chunk clamped
+// to their extent, with NaN and -0.0 attributes and NULLs stored as 0.
+TEST_P(ArrayToTableOracle, ClampedCastArraysMatchTheRowBuiltConversion) {
+  Rng rng(GetParam() * 31 + 5);
+  const size_t num_dims = 1 + GetParam() % 3;
+  std::vector<Field> fields;
+  for (size_t d = 0; d < num_dims; ++d) {
+    fields.emplace_back("d" + std::to_string(d), DataType::kInt64);
+  }
+  fields.emplace_back("x", DataType::kDouble);
+  fields.emplace_back("y", DataType::kDouble);
+  relational::Table t{Schema(std::move(fields))};
+  const int64_t extent = std::vector<int64_t>{1, 3, 9, 13, 70}[rng.NextBelow(5)];
+  for (int64_t r = 0; r < 150; ++r) {
+    Row row;
+    for (size_t d = 0; d < num_dims; ++d) row.emplace_back(rng.NextInt(0, extent - 1));
+    row.emplace_back(EdgeDouble(&rng));
+    row.push_back(rng.NextBool(0.2) ? Value::Null() : Value(EdgeDouble(&rng)));
+    t.AppendUnchecked(std::move(row));
+  }
+  ExpectSameAsRowBuilt(*TableToArray(t, 64, GetParam() % 2));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArrayToTableOracle,
+                         ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+// Every ARRAY aggregate's result is a 1-cell array over dimension "i":
+// a chunk volume of one, far below a bitmap word.
+TEST(ArrayToTableOracleTest, OneCellAggregateArray) {
+  array::Array one = *array::Array::Create({array::Dimension("i", 0, 1, 1)}, {"count_mv"});
+  BIGDAWG_CHECK_OK(one.Set({0}, {50000.0}));
+  ExpectSameAsRowBuilt(one);
+  const relational::Table t = *ArrayToTable(one);
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.ColumnAt(1).DoubleAt(0), 50000.0);
+}
+
+TEST(ArrayToTableOracleTest, EmptyArray) {
+  array::Array empty =
+      *array::Array::Create({array::Dimension("i", 0, 100, 64)}, {"v", "w"});
+  ExpectSameAsRowBuilt(empty);
+  EXPECT_EQ(ArrayToTable(empty)->num_rows(), 0u);
+}
 
 TEST(StreamLogSerializationTest, RoundTrip) {
   std::vector<stream::LogRecord> log;

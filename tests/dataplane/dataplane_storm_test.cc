@@ -3,7 +3,9 @@
 // metadata (ByteSize, column slices); writers thaw private clones and
 // mutate them. The original block's checksum must never move, and the
 // whole dance must be TSan-clean — the proof that CoW refcounts, the
-// byte-size memo, and the slice cache are properly synchronized.
+// byte-size memo, and the slice cache are properly synchronized. A second
+// storm does the same over a cached block born from columns, whose rows
+// are a memo the readers race to build while writers clone it.
 
 #include <atomic>
 #include <thread>
@@ -13,7 +15,11 @@
 
 #include "common/columnar.h"
 #include "common/logging.h"
+#include "core/bigdawg.h"
+#include "core/cast.h"
 #include "d4m/assoc_array.h"
+#include "relational/executor.h"
+#include "relational/sql_parser.h"
 #include "relational/table.h"
 
 namespace bigdawg {
@@ -74,6 +80,74 @@ TEST(DataPlaneStormTest, TableShareMutateStormKeepsTheSourceStable) {
   EXPECT_FALSE(corrupted.load());
   EXPECT_EQ(RowsChecksum(source), golden);
   EXPECT_EQ(source.ByteSize(), golden_bytes);
+}
+
+TEST(DataPlaneStormTest, ColumnarBlockShareMutateStormKeepsTheSourceStable) {
+  core::BigDawg dawg;
+  relational::Table history{Schema({Field("hist_seq", DataType::kInt64),
+                                    Field("patient_id", DataType::kInt64),
+                                    Field("mv", DataType::kDouble)})};
+  constexpr int64_t kRows = 300;
+  for (int64_t i = 0; i < kRows; ++i) {
+    history.AppendUnchecked({Value(i), Value(i % 4), Value(0.5 * static_cast<double>(i))});
+  }
+  BIGDAWG_CHECK_OK(dawg.StoreStreamHistory("h", history));
+  // The cast cache's block (a fresh conversion with the cache off): born
+  // from columns, rows not yet built.
+  const relational::Table source = *dawg.FetchAsTable("h");
+  ASSERT_FALSE(source.HasRowStorage());
+  // The oracle comes from a second conversion, so the shared block's row
+  // memo is first built inside the storm.
+  const relational::Table reference = *core::ArrayToTable(*dawg.scidb().GetArray("h"));
+  const uint64_t golden = RowsChecksum(reference);
+  const int64_t golden_bytes = reference.ByteSize();
+  const double golden_sum = 0.5 * static_cast<double>(kRows * (kRows - 1) / 2);
+  const relational::SelectStatement count_sum = std::get<relational::SelectStatement>(
+      *relational::ParseSql("SELECT COUNT(*) AS n, SUM(mv) AS s FROM h"));
+
+  std::atomic<bool> corrupted{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      for (int i = 0; i < kItersPerThread / 4; ++i) {
+        relational::Table mine = source;
+        if (mine.num_rows() != static_cast<size_t>(kRows)) corrupted = true;
+        if (mine.ByteSize() != golden_bytes) corrupted = true;
+        if (tid % 2 == 0) {
+          // Reader: the column slices, the count/sum query over them, and
+          // the lazily built rows.
+          if (mine.ColumnAt(2).DoubleAt(7) != 3.5) corrupted = true;
+          Result<relational::Table> answer = relational::ExecuteSelect(
+              count_sum,
+              [&mine](const std::string&) -> Result<const relational::Table*> {
+                return &mine;
+              });
+          if (!answer.ok() || answer->rows()[0][0] != Value(kRows) ||
+              answer->rows()[0][1] != Value(golden_sum)) {
+            corrupted = true;
+          }
+          if ((tid + i) % 3 == 0 && RowsChecksum(mine) != golden) corrupted = true;
+          Result<Value> cell = mine.At(11, "mv");
+          if (!cell.ok() || *cell != Value(5.5)) corrupted = true;
+        } else {
+          // Writer: thaw a private clone (building its rows from the
+          // shared slices) and mutate it.
+          mine.mutable_rows()[0][2] = Value(-1.0 - tid);
+          mine.AppendUnchecked({Value(kRows + tid), Value(0), Value(1.0)});
+          if (mine.SharesStorageWith(source) || !mine.HasRowStorage()) corrupted = true;
+          if (mine.ColumnAt(2).DoubleAt(0) != -1.0 - tid) corrupted = true;
+          if (RowsChecksum(mine) == golden) corrupted = true;  // did mutate
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_FALSE(corrupted.load());
+  EXPECT_EQ(RowsChecksum(source), golden);
+  EXPECT_EQ(source.ByteSize(), golden_bytes);
+  EXPECT_EQ(source.num_rows(), static_cast<size_t>(kRows));
 }
 
 TEST(DataPlaneStormTest, AssocShareMutateStormKeepsTheSourceStable) {

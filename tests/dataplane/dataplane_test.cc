@@ -12,6 +12,8 @@
 #include "core/cast.h"
 #include "core/sharding.h"
 #include "core/wire_format.h"
+#include "relational/executor.h"
+#include "relational/sql_parser.h"
 
 namespace bigdawg::core {
 namespace {
@@ -195,6 +197,70 @@ TEST(DataPlaneTest, MutatingACacheHitNeverCorruptsTheCache) {
   d4m::AssocArray again = *dawg.FetchAsAssoc("patients");
   EXPECT_EQ(AssocChecksum(again), cached);
   EXPECT_FALSE(again.Contains("poison", "poison"));
+}
+
+// A stream-history read (the age-out reader's history_cast) must stay
+// columnar end to end: the cast relation is born from columns, the COUNT/
+// SUM over it materializes only its one output row, and no step builds
+// the relation's rows. A change that forces rows on cast results fails
+// here.
+TEST(DataPlaneTest, HistoryCastCountSumBuildsNoRows) {
+  BigDawg dawg;
+  relational::Table history{Schema({Field("hist_seq", DataType::kInt64),
+                                    Field("patient_id", DataType::kInt64),
+                                    Field("mv", DataType::kDouble)})};
+  constexpr int64_t kRows = 1000;
+  double sum = 0;
+  for (int64_t i = 0; i < kRows; ++i) {
+    const double mv = 0.25 * static_cast<double>(i % 97);
+    history.AppendUnchecked({Value(i), Value(i % 4), Value(mv)});
+    sum += mv;
+  }
+  BIGDAWG_CHECK_OK(dawg.StoreStreamHistory("h", history));
+
+  Result<relational::Table> answer = dawg.Execute(
+      "RELATIONAL(SELECT COUNT(*) AS n, SUM(mv) AS s FROM CAST(h, relation))");
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_EQ(answer->num_rows(), 1u);
+  EXPECT_EQ(answer->rows()[0][0], Value(kRows));
+  EXPECT_EQ(answer->rows()[0][1], Value(sum));
+
+  // With the cache on, this fetch is a hit: the very block the query read.
+  const int64_t hits = dawg.cast_cache().Stats().hits;
+  const relational::Table cast = *dawg.FetchAsTable("h");
+  if (dawg.cast_cache().enabled()) {
+    EXPECT_EQ(dawg.cast_cache().Stats().hits, hits + 1);
+  }
+  EXPECT_FALSE(cast.HasRowStorage());
+
+  relational::Statement stmt =
+      *relational::ParseSql("SELECT COUNT(*) AS n, SUM(mv) AS s FROM h");
+  relational::CatalogStats catalog;
+  catalog.schema = [&cast](const std::string&) -> Result<Schema> { return cast.schema(); };
+  relational::PlanPtr plan =
+      *relational::LowerSelect(std::get<relational::SelectStatement>(stmt), catalog);
+  relational::ExecStats stats;
+  Result<relational::Table> direct = relational::ExecutePlan(
+      *plan, [&cast](const std::string&) -> Result<relational::Table> { return cast; },
+      &stats);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(EncodeTable(*direct), EncodeTable(*answer));
+  EXPECT_EQ(stats.rows_materialized, 1);
+  EXPECT_FALSE(cast.HasRowStorage());
+
+  // ByteSize (cache accounting, the CAST span's bytes tag) is the row
+  // formula's value; a thawed copy computes it from real rows.
+  relational::Table thawed = cast;
+  thawed.Thaw();
+  EXPECT_TRUE(thawed.HasRowStorage());
+  EXPECT_FALSE(cast.HasRowStorage());
+  int64_t row_bytes = 0;
+  for (const Row& row : thawed.rows()) {
+    for (const Value& v : row) row_bytes += common::ValueByteSize(v);
+  }
+  EXPECT_EQ(thawed.ByteSize(), row_bytes);
+  EXPECT_EQ(cast.ByteSize(), row_bytes);
+  EXPECT_EQ(row_bytes, kRows * 3 * 8);
 }
 
 // ---------------------------------------------------------------------------

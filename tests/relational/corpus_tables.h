@@ -1,11 +1,17 @@
 // The synthesized tables shared by the SQL corpus tests: NULLs, int64
 // and double columns, integral doubles that equal int64 values (3 ==
 // 3.0), strings, and an empty table, all on postgres and registered with
-// the polystore catalog.
+// the polystore catalog. RebuildFromColumns re-creates them as blocks
+// born from columns for the columnar runs of the same oracles.
 
 #ifndef BIGDAWG_TESTS_RELATIONAL_CORPUS_TABLES_H_
 #define BIGDAWG_TESTS_RELATIONAL_CORPUS_TABLES_H_
 
+#include <initializer_list>
+#include <memory>
+#include <vector>
+
+#include "common/columnar.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/bigdawg.h"
@@ -59,6 +65,25 @@ inline void LoadTables(core::BigDawg* dawg) {
                          Field("b", DataType::kDouble)})));
   for (const char* t : {"pt", "rx", "tiny", "empty_t"}) {
     BIGDAWG_CHECK_OK(dawg->RegisterObject(t, core::kEnginePostgres, t));
+  }
+}
+
+// Replaces each named postgres table with a copy born from columns over
+// the original's own slices (typed, mixed and all-NULL columns alike), so
+// the same queries run over blocks that have no row storage.
+inline void RebuildFromColumns(core::BigDawg* dawg,
+                               std::initializer_list<const char*> names) {
+  relational::Database& pg = dawg->postgres();
+  for (const char* name : names) {
+    const relational::Table rows = *pg.GetTable(name);
+    std::vector<std::shared_ptr<const common::ColumnSlice>> slices;
+    for (size_t c = 0; c < rows.schema().num_fields(); ++c) {
+      slices.push_back(rows.ColumnAt(c).slice());
+    }
+    relational::Table columns =
+        relational::Table::FromColumns(rows.schema(), std::move(slices));
+    BIGDAWG_CHECK(!columns.HasRowStorage());
+    BIGDAWG_CHECK_OK(pg.PutTable(name, std::move(columns)));
   }
 }
 

@@ -15,6 +15,8 @@
 // The partitions cover every row under SQL three-valued logic, so any
 // operator bug in NULL handling, NOT, short-circuiting or mixed-type
 // comparison breaks an equality. A failure prints the failing query.
+// Every oracle runs twice: over the tables as loaded, and over copies born
+// from columns (MetamorphicFromColumnsTest).
 
 #include <gtest/gtest.h>
 
@@ -241,9 +243,23 @@ class MetamorphicTest : public ::testing::Test {
     myria_ = *dawg_.GetIsland("MYRIA");
   }
 
+  // The oracles; each TEST_F below runs one over this fixture's tables.
+  void CheckTernaryLogicPartitioningOfAggregates();
+  void CheckTernaryLogicPartitioningOfRows();
+  void CheckNoRecCountsMatchProjectedPredicate();
+
   core::BigDawg dawg_;
   core::Island* relational_ = nullptr;
   core::Island* myria_ = nullptr;
+};
+
+// The same oracles over copies of every table born from columns.
+class MetamorphicFromColumnsTest : public MetamorphicTest {
+ protected:
+  void SetUp() override {
+    MetamorphicTest::SetUp();
+    RebuildFromColumns(&dawg_, {"pt", "rx", "tiny", "empty_t", "mix"});
+  }
 };
 
 constexpr int kPredicatesPerFrom = 60;
@@ -255,7 +271,7 @@ std::string Partition(int i, const std::string& p) {
   return out;
 }
 
-TEST_F(MetamorphicTest, TernaryLogicPartitioningOfAggregates) {
+void MetamorphicTest::CheckTernaryLogicPartitioningOfAggregates() {
   int checked = 0;
   for (size_t f = 0; f < Froms().size(); ++f) {
     const From& from = Froms()[f];
@@ -299,7 +315,7 @@ TEST_F(MetamorphicTest, TernaryLogicPartitioningOfAggregates) {
   EXPECT_GE(checked, 500);
 }
 
-TEST_F(MetamorphicTest, TernaryLogicPartitioningOfRows) {
+void MetamorphicTest::CheckTernaryLogicPartitioningOfRows() {
   int checked = 0;
   for (size_t f = 0; f < Froms().size(); ++f) {
     const From& from = Froms()[f];
@@ -330,7 +346,7 @@ TEST_F(MetamorphicTest, TernaryLogicPartitioningOfRows) {
   EXPECT_GE(checked, 500);
 }
 
-TEST_F(MetamorphicTest, NoRecCountsMatchProjectedPredicate) {
+void MetamorphicTest::CheckNoRecCountsMatchProjectedPredicate() {
   int checked = 0;
   for (size_t f = 0; f < Froms().size(); ++f) {
     const From& from = Froms()[f];
@@ -360,6 +376,30 @@ TEST_F(MetamorphicTest, NoRecCountsMatchProjectedPredicate) {
     }
   }
   EXPECT_GE(checked, 500);
+}
+
+TEST_F(MetamorphicTest, TernaryLogicPartitioningOfAggregates) {
+  CheckTernaryLogicPartitioningOfAggregates();
+}
+
+TEST_F(MetamorphicTest, TernaryLogicPartitioningOfRows) {
+  CheckTernaryLogicPartitioningOfRows();
+}
+
+TEST_F(MetamorphicTest, NoRecCountsMatchProjectedPredicate) {
+  CheckNoRecCountsMatchProjectedPredicate();
+}
+
+TEST_F(MetamorphicFromColumnsTest, TernaryLogicPartitioningOfAggregates) {
+  CheckTernaryLogicPartitioningOfAggregates();
+}
+
+TEST_F(MetamorphicFromColumnsTest, TernaryLogicPartitioningOfRows) {
+  CheckTernaryLogicPartitioningOfRows();
+}
+
+TEST_F(MetamorphicFromColumnsTest, NoRecCountsMatchProjectedPredicate) {
+  CheckNoRecCountsMatchProjectedPredicate();
 }
 
 }  // namespace

@@ -7,8 +7,13 @@
 // row order — and the whole rendering must match the committed golden
 // file byte for byte.
 //
+// The corpus runs twice: over the tables as loaded (row storage) and over
+// copies born from columns (Table::FromColumns over the same slices); both
+// must match the one golden.
+//
 // The rendering of the current build is always written next to the test
-// binary (select_corpus.actual); after an intended behaviour change,
+// binary (select_corpus.actual, and select_corpus.actual.columnar for the
+// second run); after an intended behaviour change,
 // review the differing lines and copy that file over
 // tests/relational/select_corpus.golden.
 
@@ -286,9 +291,13 @@ std::vector<std::string> Lines(const std::string& text) {
   return lines;
 }
 
-TEST(SelectCorpusTest, MatchesGolden) {
+// Runs the corpus through both dialects and compares the rendering with
+// the golden file. `from_columns` first rebuilds every table as a block
+// born from columns; the answers must not change by a byte.
+void ExpectCorpusMatchesGolden(bool from_columns) {
   core::BigDawg dawg;
   LoadTables(&dawg);
+  if (from_columns) RebuildFromColumns(&dawg, {"pt", "rx", "tiny", "empty_t"});
   core::Island* relational = *dawg.GetIsland("RELATIONAL");
   core::Island* myria = *dawg.GetIsland("MYRIA");
 
@@ -299,19 +308,21 @@ TEST(SelectCorpusTest, MatchesGolden) {
     actual += "RELATIONAL " + sql + "  =>  " + Render(relational->Execute(sql)) + "\n";
     actual += "MYRIA      " + sql + "  =>  " + Render(myria->Execute(sql)) + "\n";
   }
+  const std::string actual_path =
+      std::string(SELECT_CORPUS_ACTUAL) + (from_columns ? ".columnar" : "");
   {
-    std::ofstream out(SELECT_CORPUS_ACTUAL, std::ios::binary);
+    std::ofstream out(actual_path, std::ios::binary);
     out << actual;
   }
   std::ifstream in(SELECT_CORPUS_GOLDEN, std::ios::binary);
   ASSERT_TRUE(in.good()) << "missing golden file " << SELECT_CORPUS_GOLDEN
-                         << "; this build's rendering is in " << SELECT_CORPUS_ACTUAL;
+                         << "; this build's rendering is in " << actual_path;
   std::stringstream golden;
   golden << in.rdbuf();
 
   const std::vector<std::string> want = Lines(golden.str());
   const std::vector<std::string> got = Lines(actual);
-  ASSERT_EQ(want.size(), got.size()) << "rendering is in " << SELECT_CORPUS_ACTUAL;
+  ASSERT_EQ(want.size(), got.size()) << "rendering is in " << actual_path;
   int shown = 0;
   for (size_t i = 0; i < want.size(); ++i) {
     if (want[i] == got[i]) continue;
@@ -319,7 +330,13 @@ TEST(SelectCorpusTest, MatchesGolden) {
                   << "\n  actual: " << got[i];
     if (++shown == 20) break;
   }
-  EXPECT_EQ(shown, 0) << "rendering is in " << SELECT_CORPUS_ACTUAL;
+  EXPECT_EQ(shown, 0) << "rendering is in " << actual_path;
+}
+
+TEST(SelectCorpusTest, MatchesGolden) { ExpectCorpusMatchesGolden(false); }
+
+TEST(SelectCorpusTest, TablesBornFromColumnsMatchGolden) {
+  ExpectCorpusMatchesGolden(true);
 }
 
 // The Myria optimizer's pushdown and reorder rules trust PlanSchema, and
