@@ -1,8 +1,9 @@
 // Google-benchmark micro-benchmarks for the polystore's hot primitives:
 // expression evaluation, SQL scans/aggregates/joins/DISTINCT, Myria
 // iteration, array scans, array -> relation CASTs, KV range scans, the
-// binary CAST wire format, and FFT kernels. These are per-operation
-// numbers supporting the experiment-level benches.
+// MIMIC demo's TEXT/ARRAY/D4M island kernels, the binary CAST wire
+// format, and FFT kernels. These are per-operation numbers supporting
+// the experiment-level benches.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 #include "core/stream_ageout.h"
 #include "core/wire_format.h"
 #include "kvstore/kvstore.h"
+#include "mimic/mimic.h"
 #include "myria/myria.h"
 #include "relational/database.h"
 #include "relational/executor.h"
@@ -250,15 +252,95 @@ void BM_KvRangeScan(benchmark::State& state) {
   }
   for (auto _ : state) {
     int64_t count = 0;
-    store.ApplyToRange(kvstore::ScanOptions{}, [&count](const kvstore::Cell&) {
-      ++count;
-      return true;
-    });
+    store.Read().Range(kvstore::ScanOptions{},
+                       [&count](const kvstore::Key&, const std::string&) {
+                         ++count;
+                         return true;
+                       });
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_KvRangeScan)->Arg(10000)->Arg(100000);
+
+// The MIMIC demo at the benchmark's icu_interactive size: 2000 patients,
+// 3 notes each in the text store, 64 waveform samples each in the
+// (patient_id, t) array with one chunk per patient, and the notes' D4M
+// term x document view. Built once and shared by the island kernels.
+struct MimicDemo {
+  mimic::MimicData data;
+  core::BigDawg dawg;
+  d4m::AssocArray notes;
+};
+
+MimicDemo& Demo() {
+  static MimicDemo* demo = [] {
+    mimic::MimicConfig config;
+    config.num_patients = 2000;
+    config.waveform_seconds = 1;
+    config.waveform_hz = 64;
+    config.seed = 1;
+    auto* d = new MimicDemo{*mimic::Generate(config), {}, {}};
+    BIGDAWG_CHECK_OK(mimic::LoadIntoBigDawg(d->data, &d->dawg));
+    d->notes = *d->dawg.FetchAsAssoc("notes");
+    return d;
+  }();
+  return *demo;
+}
+
+void BM_TextSearch(benchmark::State& state) {
+  const std::vector<std::string> terms =
+      state.range(0) == 1 ? std::vector<std::string>{"patient"}
+                          : std::vector<std::string>{"very", "sick"};
+  core::BigDawg& dawg = Demo().dawg;
+  for (auto _ : state) {
+    auto hits = dawg.accumulo().SearchAllTerms(terms);
+    benchmark::DoNotOptimize(hits);
+  }
+}
+BENCHMARK(BM_TextSearch)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+void BM_TextPhrase(benchmark::State& state) {
+  core::BigDawg& dawg = Demo().dawg;
+  for (auto _ : state) {
+    auto owners = dawg.accumulo().OwnersWithPhraseCount("very sick", 2);
+    benchmark::DoNotOptimize(owners);
+  }
+}
+BENCHMARK(BM_TextPhrase)->Unit(benchmark::kMillisecond);
+
+void BM_ArrayAggregateBy(benchmark::State& state) {
+  const array::Array& waveforms = Demo().data.waveforms;
+  for (auto _ : state) {
+    auto groups = waveforms.AggregateBy(array::AggFunc::kAvg, 0, 0);
+    BIGDAWG_CHECK(groups.ok());
+    benchmark::DoNotOptimize(groups);
+  }
+  state.SetItemsProcessed(state.iterations() * waveforms.NonEmptyCount());
+}
+BENCHMARK(BM_ArrayAggregateBy)->Unit(benchmark::kMillisecond);
+
+// The Browsing interface: 8 patients x all 64 samples.
+void BM_Subarray(benchmark::State& state) {
+  const array::Array& waveforms = Demo().data.waveforms;
+  for (auto _ : state) {
+    auto box = waveforms.Subarray({10, 0}, {17, 63});
+    BIGDAWG_CHECK(box.ok());
+    benchmark::DoNotOptimize(box);
+  }
+}
+BENCHMARK(BM_Subarray)->Unit(benchmark::kMillisecond);
+
+void BM_AssocRowSums(benchmark::State& state) {
+  const d4m::AssocArray& notes = Demo().notes;
+  for (auto _ : state) {
+    auto sums = notes.RowSums();
+    benchmark::DoNotOptimize(sums);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(notes.NumNonEmpty()));
+}
+BENCHMARK(BM_AssocRowSums)->Unit(benchmark::kMillisecond);
 
 void BM_WireCastRoundTrip(benchmark::State& state) {
   relational::Table t = MakeTable(state.range(0));

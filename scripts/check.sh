@@ -69,6 +69,12 @@ if [[ "$MODE" != "--tsan-only" && "$MODE" != "--asan-only" ]]; then
   # src/relational, src/myria or the column slices in src/common.
   echo "==== relational executor (ctest -L relational) ===="
   (cd build && ctest --output-on-failure -L relational)
+  # The TEXT, ARRAY and D4M island kernels in isolation: the
+  # differential oracles against the plain reference algorithms and the
+  # text store's read/replace storm -- quick to rerun when touching
+  # src/kvstore, src/array or src/d4m.
+  echo "==== island kernels (ctest -L islands) ===="
+  (cd build && ctest --output-on-failure -L islands)
   # Tier-1 again with the cast-result cache killed: every cross-model
   # fetch takes the uncached path, so a correctness bug that the cache
   # happens to mask (or a test that silently depends on caching) fails

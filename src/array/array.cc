@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
+#include <unordered_map>
 
 #include "common/macros.h"
 
@@ -259,44 +259,92 @@ Result<std::vector<double>> Array::Get(const Coordinates& coords) const {
 }
 
 void Array::Scan(const std::function<bool(const Coordinates&,
-                                          const std::vector<double>&)>& fn) const {
+                                          const std::vector<double>&)>& fn,
+                 const Box* box) const {
   const Rep& rep = *rep_;
-  // Deterministic order: sorted chunk keys.
-  std::vector<std::pair<const Coordinates*, const Chunk*>> ordered;
-  ordered.reserve(rep.chunks.size());
-  for (const auto& [key, chunk] : rep.chunks) ordered.emplace_back(&key, chunk.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-
   const std::vector<Dimension>& ds = rep.dims;
   const size_t nd = ds.size();
+  // The visited box: the array's, narrowed by `box`.
+  Coordinates lo(nd);
+  Coordinates hi(nd);
+  for (size_t i = 0; i < nd; ++i) {
+    lo[i] = ds[i].start;
+    hi[i] = ds[i].start + ds[i].length - 1;
+    if (box != nullptr) {
+      lo[i] = std::max(lo[i], box->lo[i]);
+      hi[i] = std::min(hi[i], box->hi[i]);
+    }
+  }
+  // The chunks meeting that box, in deterministic order (sorted keys). A
+  // chunk wholly inside it needs no per-cell test; an edge chunk (a
+  // partial chunk at the array's end, or one the box cuts) does.
+  struct Visit {
+    const Coordinates* key;
+    const Chunk* chunk;
+    bool inside;
+  };
+  std::vector<Visit> ordered;
+  ordered.reserve(rep.chunks.size());
+  for (const auto& [key, chunk] : rep.chunks) {
+    bool meets = true;
+    bool inside = true;
+    for (size_t i = 0; i < nd && meets; ++i) {
+      const int64_t first = ds[i].start + key[i] * ds[i].chunk_length;
+      const int64_t last = first + ds[i].chunk_length - 1;
+      meets = last >= lo[i] && first <= hi[i];
+      inside = inside && first >= lo[i] && last <= hi[i];
+    }
+    if (meets) ordered.push_back({&key, chunk.get(), inside});
+  }
+  std::sort(ordered.begin(), ordered.end(),
+            [](const Visit& a, const Visit& b) { return *a.key < *b.key; });
+
   const size_t volume = static_cast<size_t>(ChunkVolume());
   // Only a chunk's first `volume` bits are cells (the volume need not be
   // a multiple of 64): the last word's tail is masked off.
   const uint64_t tail_mask =
       volume % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (volume % 64)) - 1;
   std::vector<double> values(rep.attrs.size());
+  Coordinates base(nd);
   Coordinates coords(nd);
-  for (const auto& [key, chunk] : ordered) {
-    const size_t words = chunk->filled.size();
+  for (const Visit& visit : ordered) {
+    const Chunk& chunk = *visit.chunk;
+    for (size_t i = 0; i < nd; ++i) {
+      base[i] = ds[i].start + (*visit.key)[i] * ds[i].chunk_length;
+    }
+    // Offsets ascend, so the coordinates (row-major within the chunk)
+    // advance like an odometer from the chunk's first cell: add the step
+    // to the last dimension and carry; only a carry divides.
+    coords = base;
+    size_t at = 0;
+    const size_t words = chunk.filled.size();
     for (size_t w = 0; w < words; ++w) {
-      uint64_t bits = chunk->filled[w];
+      uint64_t bits = chunk.filled[w];
       if (w + 1 == words) bits &= tail_mask;
       while (bits != 0) {
         const size_t offset = w * 64 + static_cast<size_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        // Decode offset -> coordinates (row-major within chunk).
-        size_t rem = offset;
-        bool in_box = true;
-        for (size_t i = nd; i-- > 0;) {
-          const int64_t cl = ds[i].chunk_length;
-          coords[i] = ds[i].start + (*key)[i] * cl + static_cast<int64_t>(rem % cl);
-          rem /= static_cast<size_t>(cl);
-          // Skip cells beyond the array box (partial edge chunks).
-          in_box = in_box && coords[i] < ds[i].start + ds[i].length;
+        size_t carry = offset - at;
+        at = offset;
+        for (size_t i = nd; carry != 0 && i-- > 0;) {
+          const size_t cl = static_cast<size_t>(ds[i].chunk_length);
+          const size_t within = static_cast<size_t>(coords[i] - base[i]) + carry;
+          if (within < cl) {
+            coords[i] = base[i] + static_cast<int64_t>(within);
+            carry = 0;
+          } else {
+            coords[i] = base[i] + static_cast<int64_t>(within % cl);
+            carry = within / cl;
+          }
         }
-        if (!in_box) continue;
-        for (size_t a = 0; a < values.size(); ++a) values[a] = chunk->attr_data[a][offset];
+        if (!visit.inside) {
+          bool in_box = true;
+          for (size_t i = 0; i < nd; ++i) {
+            in_box = in_box && coords[i] >= lo[i] && coords[i] <= hi[i];
+          }
+          if (!in_box) continue;
+        }
+        for (size_t a = 0; a < values.size(); ++a) values[a] = chunk.attr_data[a][offset];
         if (!fn(coords, values)) return;
       }
     }
@@ -325,17 +373,14 @@ Result<Array> Array::Subarray(const Coordinates& lo, const Coordinates& hi) cons
     }
   }
   BIGDAWG_ASSIGN_OR_RETURN(Array out, Create(new_dims, attrs()));
+  const Box box{lo, hi};
   Status st = Status::OK();
-  Scan([&](const Coordinates& coords, const std::vector<double>& values) {
-    for (size_t i = 0; i < coords.size(); ++i) {
-      if (coords[i] < new_dims[i].start ||
-          coords[i] >= new_dims[i].start + new_dims[i].length) {
-        return true;  // outside the box; keep scanning
-      }
-    }
-    st = out.Set(coords, values);
-    return st.ok();
-  });
+  Scan(
+      [&](const Coordinates& coords, const std::vector<double>& values) {
+        st = out.Set(coords, values);
+        return st.ok();
+      },
+      &box);
   BIGDAWG_RETURN_NOT_OK(st);
   return out;
 }
@@ -411,11 +456,25 @@ Result<std::vector<std::pair<int64_t, double>>> Array::AggregateBy(
     AggFunc func, size_t attr, size_t keep_dim) const {
   if (attr >= num_attrs()) return Status::OutOfRange("attribute index");
   if (keep_dim >= num_dims()) return Status::OutOfRange("dimension index");
-  std::map<int64_t, AggState> groups;
+  // One slot per group, in first-seen order, each folding its cells in
+  // scan order. A cell whose kept coordinate repeats the previous cell's
+  // (the common case: chunks keep cells of one coordinate together)
+  // reuses that slot; any other looks its slot up by hash.
+  std::vector<std::pair<int64_t, AggState>> groups;
+  std::unordered_map<int64_t, size_t> slot_of;
+  size_t slot = 0;
   Scan([&](const Coordinates& coords, const std::vector<double>& values) {
-    groups[coords[keep_dim]].Update(values[attr]);
+    const int64_t coord = coords[keep_dim];
+    if (groups.empty() || groups[slot].first != coord) {
+      auto [it, inserted] = slot_of.try_emplace(coord, groups.size());
+      if (inserted) groups.emplace_back(coord, AggState{});
+      slot = it->second;
+    }
+    groups[slot].second.Update(values[attr]);
     return true;
   });
+  std::sort(groups.begin(), groups.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::pair<int64_t, double>> out;
   out.reserve(groups.size());
   for (const auto& [coord, state] : groups) {

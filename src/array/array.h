@@ -35,6 +35,12 @@ struct Dimension {
 /// \brief Coordinates of a cell (one entry per dimension).
 using Coordinates = std::vector<int64_t>;
 
+/// \brief An inclusive box [lo, hi], one coordinate pair per dimension.
+struct Box {
+  Coordinates lo;
+  Coordinates hi;
+};
+
 /// \brief Aggregates supported by the array engine.
 enum class AggFunc : int { kCount, kSum, kAvg, kMin, kMax, kStdev };
 
@@ -112,8 +118,13 @@ class Array {
   /// chunk key, cells by ascending offset within a chunk. Walks each
   /// chunk's filled bitmap a word at a time, so empty cells cost nothing
   /// beyond their bit. The callback returns false to stop early.
+  ///
+  /// With a `box` (one pair per dimension), visits only the cells inside
+  /// it: chunks whose extent misses the box are dropped before the
+  /// chunk-key sort, and only chunks that straddle its edge test cells.
   void Scan(const std::function<bool(const Coordinates&,
-                                     const std::vector<double>&)>& fn) const;
+                                     const std::vector<double>&)>& fn,
+            const Box* box = nullptr) const;
 
   /// Restriction to the box [lo, hi] (inclusive, one pair per dimension);
   /// coordinates are preserved.

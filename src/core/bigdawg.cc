@@ -309,13 +309,13 @@ struct BigDawg::Model<d4m::AssocArray> {
       d4m::AssocArray out;
       kvstore::ScanOptions options;
       options.family = "idx";
-      d.text_.backing_store().ApplyToRange(options, [&out](const kvstore::Cell& cell) {
-        // Rows are "term:<t>".
-        std::string term = cell.key.row.substr(5);
-        out.Set(term, cell.key.qualifier,
-                Value(std::strtod(cell.value.c_str(), nullptr)));
-        return true;
-      });
+      d.text_.backing_store().Read().Range(
+          options, [&out](const kvstore::Key& key, const std::string& value) {
+            // Rows are "term:<t>".
+            out.Set(key.row.substr(5), key.qualifier,
+                    Value(std::strtod(value.c_str(), nullptr)));
+            return true;
+          });
       return out;
     }
     BIGDAWG_ASSIGN_OR_RETURN(relational::Table t,

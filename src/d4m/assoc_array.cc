@@ -215,11 +215,18 @@ AssocArray AssocArray::MatMul(const AssocArray& other) const {
 }
 
 std::map<std::string, double> AssocArray::RowSums() const {
+  // Rows come in key order, so each sum is one hinted insert at the end.
   std::map<std::string, double> out;
-  ForEach([&out](const std::string& r, const std::string&, const Value& v) {
-    Result<double> num = v.ToNumeric();
-    if (num.ok()) out[r] += *num;
-  });
+  for (const auto& [r, cols] : rep_->cells) {
+    double sum = 0;
+    bool numeric = false;
+    for (const auto& [c, v] : cols) {
+      if (!IsNumeric(v.type())) continue;
+      sum += *v.ToNumeric();
+      numeric = true;
+    }
+    if (numeric) out.emplace_hint(out.end(), r, sum);
+  }
   return out;
 }
 

@@ -28,8 +28,12 @@ std::vector<std::string> TokenizeText(const std::string& text);
 ///   (doc:<id>,  "doc",  "text")           -> raw document text
 ///   (term:<t>,  "idx",  <doc id>)         -> term frequency (decimal string)
 ///
-/// Searches run tablet-side via ApplyToRange — a term lookup is one sorted
-/// range scan over "term:<t>" rows.
+/// A search runs tablet-side under one KvStore::ReadView, reading cells in
+/// place: a term's postings are its "term:<t>" row, already in doc-id
+/// order, so an AND is a linear merge; owners and texts come from the
+/// "doc:" rows, visited in that same order by one forward cursor.
+/// AddDocument is one KvStore::WriteView, so a search sees every
+/// document whole, in one version.
 class TextStore {
  public:
   TextStore() = default;
@@ -49,9 +53,10 @@ class TextStore {
   std::vector<DocMatch> SearchAllTerms(const std::vector<std::string>& terms) const;
 
   /// Documents whose raw text contains `phrase` (exact substring,
-  /// case-insensitive). Score = number of occurrences. Implemented as a
-  /// candidate term scan (first phrase token) + verification read, the
-  /// speculative-then-validate pattern.
+  /// case-insensitive). Score = number of non-overlapping occurrences.
+  /// Implemented as a candidate term scan (documents holding every
+  /// phrase token) + verification read, the speculative-then-validate
+  /// pattern.
   std::vector<DocMatch> SearchPhrase(const std::string& phrase) const;
 
   /// Owners with at least `min_docs` documents matching the phrase — the
@@ -62,12 +67,12 @@ class TextStore {
   /// All document ids, in sorted order.
   std::vector<std::string> ListDocumentIds() const;
 
-  size_t num_documents() const { return num_docs_; }
+  size_t num_documents() const;
   const KvStore& backing_store() const { return store_; }
 
  private:
   KvStore store_;
-  size_t num_docs_ = 0;
+  size_t num_docs_ = 0;  // guarded by store_'s lock
 };
 
 }  // namespace bigdawg::kvstore
